@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ldpgauss.randomizers import QuadReport, SignReport
-
 
 class MalformedInputError(ValueError):
-    """Report multiplicities do not match the declared subgroup sizes."""
+    """Input no run can produce: malformed reports, counts or transcripts."""
 
 
 @dataclass(frozen=True)
@@ -114,56 +112,3 @@ def sign_counts_from_values(values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=np.int64)
     plus = int(np.count_nonzero(v == 1))
     return np.array([v.shape[0] - plus, plus], dtype=np.float64)
-
-
-def _group_quad_reports(
-    k: int, levels: Iterable[int], reports: Iterable[QuadReport]
-) -> Dict[int, np.ndarray]:
-    levels = list(levels)
-    per_level = {j: [] for j in levels}
-    for rep in reports:
-        if rep.level_j not in per_level:
-            raise MalformedInputError(f"report for unknown level {rep.level_j}")
-        per_level[rep.level_j].append(rep.value)
-    counts = {}
-    for j in levels:
-        vals = per_level[j]
-        if len(vals) != k:
-            raise MalformedInputError(
-                f"level {j} has {len(vals)} reports, expected exactly {k}"
-            )
-        counts[j] = quad_counts_from_values(np.array(vals, dtype=np.int64))
-    return counts
-
-
-def kv_agg1(
-    eps: float, k: int, levels: Iterable[int], reports: Iterable[QuadReport]
-) -> Dict[int, QuadHistogram]:
-    """Debias per-level quad counts into unbiased histogram estimates."""
-    counts = _group_quad_reports(k, levels, reports)
-    return {
-        j: QuadHistogram(level_j=j, bins=debias_quad_counts(eps, k, c), k=k)
-        for j, c in counts.items()
-    }
-
-
-def agg1(
-    eps: float, k: int, levels: Iterable[int], reports: Iterable[QuadReport]
-) -> Dict[int, PairedHistogram]:
-    """Debias quad counts, then sum adjacent bins (wrapping mod 4)."""
-    counts = _group_quad_reports(k, levels, reports)
-    return {
-        j: PairedHistogram(
-            level_j=j, bins=pair_adjacent_bins(debias_quad_counts(eps, k, c)), k=k
-        )
-        for j, c in counts.items()
-    }
-
-
-def kv_agg2(eps: float, k: int, reports: Iterable[SignReport]) -> SignHistogram:
-    """Debias sign counts into an unbiased two-bin histogram."""
-    values = [rep.value for rep in reports]
-    if len(values) != k:
-        raise MalformedInputError(f"got {len(values)} sign reports, expected exactly {k}")
-    counts = sign_counts_from_values(np.array(values, dtype=np.int64))
-    return SignHistogram(bins=debias_sign_counts(eps, k, counts), k=k)

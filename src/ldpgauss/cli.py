@@ -23,12 +23,11 @@ from ldpgauss.harness import (
     default_audit_report,
     error_summary,
     run_trials,
-    sample_population,
+    sample_population,  # not called here; perfbench/tracing.py wraps this name
     slopes_by_cell_group,
     write_results_csv,
     write_summary_csv,
 )
-from ldpgauss.numerics import TrialStreams, hash_u64
 from ldpgauss.protocols import (
     RUNNERS,
     BoundedSigma,
@@ -86,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c-k", dest="c_k", type=float)
         p.add_argument("--timing", action="store_true", default=None,
                        help="record real wall times (breaks byte-identical reruns)")
-        p.add_argument("--verbose", "-v", action="count", default=0)
 
     p_sim = sub.add_parser("simulate", help="run one configuration cell")
     add_common(p_sim)
@@ -199,19 +197,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = _spec_from(
         merged, [merged["n"]], [merged["eps"]], [merged["mu"]], [merged["sigma"]]
     )
-    cells = run_trials(spec)
+    out = _out_dir(merged)  # the transcript may be written into it
+    cells = run_trials(spec, transcript_path=merged.get("transcript"))
     if not merged.get("timing"):
         _strip_timing(cells)
-    out = _out_dir(merged)
     write_results_csv(out / "results.csv", cells)
     write_summary_csv(out / "summary.csv", cells)
-    transcript_path = merged.get("transcript")
-    if transcript_path is not None:
-        config = spec.config_for_cell(merged["n"], merged["eps"], merged["mu"], merged["sigma"])
-        streams = TrialStreams(spec.master_seed, hash_u64(0, 0))
-        samples = sample_population(config.truth, config.n, streams)
-        _, transcript = RUNNERS[spec.protocol](config, samples, streams)
-        transcript.dump(transcript_path)
     _print_cell(cells[0])
     return EXIT_OK
 

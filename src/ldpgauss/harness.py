@@ -170,8 +170,11 @@ class TrialStats:
 
 
 def run_cell(
-    spec: ExperimentSpec, cell_index: int, n: int, eps: float, mu: float, sigma: float
+    spec: ExperimentSpec, cell_index: int, n: int, eps: float, mu: float, sigma: float,
+    *, transcript_path=None,
 ) -> TrialStats:
+    """Run one grid cell's trials; with `transcript_path`, trial 0's
+    transcript is written there, outside the timed span."""
     config = spec.config_for_cell(n, eps, mu, sigma)
     try:
         plan = plan_partition(config, spec.protocol)
@@ -194,8 +197,11 @@ def run_cell(
         streams = TrialStreams(spec.master_seed, hash_u64(cell_index, trial))
         samples = sample_population(config.truth, n, streams)
         started = time.perf_counter()
-        outcome, _ = runner(config, samples, streams)
+        outcome, transcript = runner(config, samples, streams)
         wall_ms = (time.perf_counter() - started) * 1000.0
+        if transcript_path is not None and trial == 0:
+            transcript.dump(transcript_path)
+        del transcript  # not kept alive through the next trial's run
         wall_total += wall_ms
         errors[trial] = abs(outcome.mu_hat2 - mu)
         abs_error = float(errors[trial])
@@ -218,11 +224,13 @@ def run_cell(
     )
 
 
-def run_trials(spec: ExperimentSpec) -> List[TrialStats]:
+def run_trials(spec: ExperimentSpec, *, transcript_path=None) -> List[TrialStats]:
     """Run every grid cell; deterministic given the experiment definition
-    and master seed."""
+    and master seed. With `transcript_path`, the first cell's trial 0
+    transcript is written there."""
     return [
-        run_cell(spec, cell_index, *cell) for cell_index, cell in enumerate(spec.cells())
+        run_cell(spec, cell_index, *cell, transcript_path=None if cell_index else transcript_path)
+        for cell_index, cell in enumerate(spec.cells())
     ]
 
 

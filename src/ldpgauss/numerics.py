@@ -1,10 +1,12 @@
-"""Deterministic scalar math and sampling primitives.
+"""Deterministic math, seeded uniform streams, and transforms of uniforms.
 
 Everything here is a pure function of its inputs. Randomness comes from
 counter-based streams keyed by (master_seed, stream_id): draw t of a stream
 is a 64-bit avalanche hash of (master_seed, stream_id, t) mapped into (0, 1).
-Identical keys replay bit-identically, distinct keys never share state, and
-the scalar and vectorized paths compute the same bits.
+Identical keys replay bit-identically and distinct keys never share state.
+`RandomStream` draws one uniform at a time and `uniform_block` draws for
+many users at once; both compute the same bits. Box-Muller and inverse-CDF
+Laplace turn blocks of uniforms into Gaussian samples and noise.
 
 Draw-column discipline used by the protocol engine (one stream per user per
 trial): columns 0 and 1 feed the Box-Muller population sample, column 2 the
@@ -82,9 +84,6 @@ class RandomStream:
         h = hash_u64(self.master_seed, self.stream_id, self.position)
         self.position += 1
         return float(((h >> 11) + 0.5) * 2.0 ** -53)
-
-    def uniforms(self, count: int) -> np.ndarray:
-        return np.array([self.next_uniform() for _ in range(count)])
 
 
 def uniform_block(
@@ -185,26 +184,10 @@ def gaussian_from_uniforms(u1, u2, mu: float, sigma: float):
     return mu + sigma * (radius * np.cos(2.0 * math.pi * u2))
 
 
-def sample_gaussian(stream: RandomStream, mu: float, sigma: float) -> float:
-    """One N(mu, sigma^2) draw; consumes exactly two uniforms."""
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    u1 = stream.next_uniform()
-    u2 = stream.next_uniform()
-    return float(gaussian_from_uniforms(np.float64(u1), np.float64(u2), mu, sigma))
-
-
 def laplace_from_uniform(u, scale: float):
     """Inverse-CDF Laplace: u = 0.5 maps to exactly 0."""
     centered = u - 0.5
     return -scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
-
-
-def sample_laplace(stream: RandomStream, scale: float) -> float:
-    """One Laplace(scale) draw; consumes exactly one uniform."""
-    if not scale > 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    return float(laplace_from_uniform(np.float64(stream.next_uniform()), scale))
 
 
 def floor_div_mod4(x: float, j: int) -> int:

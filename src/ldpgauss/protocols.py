@@ -1,11 +1,13 @@
 """End-to-end protocol orchestration.
 
 Runners enforce the trust boundary and the round structure: user-side code
-(the randomizer kernels) is the only consumer of raw samples, analyst-side
-computation operates on the privatized reports alone, and every message
-crossing the boundary lands in a replayable transcript. Replaying a
-transcript re-runs the analyst computation bit for bit without samples,
-which is the executable proof that the analyst never needed them.
+(the randomizer kernels) is the only consumer of raw samples, and every
+message crossing the boundary lands in a transcript. Each protocol has one
+analyst function, which reads only the public plan and the transcript. A
+live run lets its users emit, then runs the analyst on its own transcript;
+replay runs the same analyst on a recorded one and compares. That the
+outputs match bit for bit without samples is the executable proof that the
+analyst never needed them.
 
 Partitioning is deterministic: the first half of the user indices is split
 into per-level blocks (ascending level order), the second half either
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -57,6 +59,11 @@ PROTOCOLS = ("kv2", "kv1", "uv2", "uv1")
 
 # 2^level must stay a normal double; beyond this the config is nonsense.
 _MAX_TOP_LEVEL = 960
+
+# laplace_from_uniform never sees a uniform within 2^-54 of 0 or 1, so a
+# Laplace(b) draw stays within 53 ln(2) b < 37 b of zero; 40 leaves room
+# for rounding.
+_LAPLACE_REACH = 40.0
 
 
 class ConfigError(ValueError):
@@ -170,6 +177,15 @@ class PartitionPlan:
         return self.level_plan.levels
 
     @property
+    def rounds(self) -> int:
+        return 2 if self.protocol in ("kv2", "uv2") else 1
+
+    @property
+    def refine_kind(self) -> str:
+        """Kind of the reports that refine the rough mean."""
+        return "sign" if self.protocol in ("kv2", "kv1") else "real"
+
+    @property
     def u1_discarded(self) -> int:
         return self.u2_start - self.level_plan.count * self.k1
 
@@ -203,6 +219,27 @@ class PartitionPlan:
 
     def uv1_noise_numerator(self, level: int) -> float:
         return 2.0 * self.rho * 2.0 ** level
+
+    def subgroup_tag(self, key) -> str:
+        """Transcript tag of a one-round refinement subgroup."""
+        return f"offset:{key}" if self.protocol == "kv1" else f"lattice:{key[0]}:{key[1]}"
+
+    def subgroups(self) -> Dict[str, tuple]:
+        """Every subgroup a run emits, in emission order: tag -> (round,
+        kind, message count, bound on the magnitude of a real report)."""
+        out = {f"level:{j}": (1, "quad", self.k1, math.inf) for j in self.levels}
+        kind = self.refine_kind
+        if self.rounds == 2:
+            out["refine"] = (2, kind, self.n - self.u2_start, math.inf)
+        for key in self.group_keys:
+            reach = math.inf
+            if self.protocol == "uv1":
+                # a residual within spacing / 2 (spacing allows for rounding),
+                # plus Laplace noise
+                noise = self.uv1_noise_numerator(key[0]) / self.eps
+                reach = self.rho * 2.0 ** key[0] + _LAPLACE_REACH * noise
+            out[self.subgroup_tag(key)] = (1, kind, self.k2, reach)
+        return out
 
     def summary(self) -> dict:
         out = {
@@ -371,18 +408,15 @@ class Transcript:
         return [(item[1], item[2]) for item in self._items if item[0] == "broadcast"]
 
     def messages_by_subgroup(self) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-        """Per-subgroup (users, values) in emission order."""
-        grouped: Dict[str, Tuple[list, list]] = {}
+        """Per-subgroup (users, values) in emission order. A subgroup sent as
+        one block comes back as that block's arrays, not a copy."""
+        grouped: Dict[str, List[tuple]] = {}
         for item in self._items:
-            if item[0] != "messages":
-                continue
-            _, _, subgroup, _, users, values = item
-            bucket = grouped.setdefault(subgroup, ([], []))
-            bucket[0].append(users)
-            bucket[1].append(values)
+            if item[0] == "messages":
+                grouped.setdefault(item[2], []).append(item[4:])
         return {
-            tag: (np.concatenate(us), np.concatenate(vs))
-            for tag, (us, vs) in grouped.items()
+            tag: blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
+            for tag, blocks in grouped.items()
         }
 
     def validate(self, max_rounds: int) -> None:
@@ -424,7 +458,12 @@ class Transcript:
     @classmethod
     def loads(cls, text: str, protocol: str, n: int) -> "Transcript":
         transcript = cls(protocol, n)
-        pending: Optional[tuple] = None
+        pending: Optional[tuple] = None  # (round, subgroup, kind, users, values)
+
+        def flush() -> None:
+            if pending is not None:
+                transcript.add_messages(*pending[:3], np.array(pending[3]), np.array(pending[4]))
+
         for line_no, raw in enumerate(text.splitlines(), start=1):
             if not raw.strip():
                 continue
@@ -432,33 +471,32 @@ class Transcript:
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise MalformedInputError(f"line {line_no}: not valid JSON ({exc})") from exc
-            if "outcome" in obj:
-                o = obj["outcome"]
-                transcript.set_outcome(EstimateOutcome(
-                    protocol=o["protocol"], mu_hat1=o["mu_hat1"],
-                    sigma_hat=o["sigma_hat"], mu_hat2=o["mu_hat2"],
-                ))
-                continue
-            if "broadcast" in obj:
-                if pending is not None:
-                    transcript.add_messages(pending[1], pending[2], pending[3], np.array(pending[4]), np.array(pending[5]))
-                    pending = None
-                transcript.add_broadcast(obj["round"], obj["broadcast"])
-                continue
+            if not isinstance(obj, dict):
+                raise MalformedInputError(f"line {line_no}: not a JSON object")
             try:
-                key = ("messages", obj["round"], obj["subgroup"], obj["kind"])
+                if "outcome" in obj:
+                    o = obj["outcome"]
+                    transcript.set_outcome(EstimateOutcome(
+                        protocol=o["protocol"], mu_hat1=o["mu_hat1"],
+                        sigma_hat=o["sigma_hat"], mu_hat2=o["mu_hat2"],
+                    ))
+                    continue
+                if "broadcast" in obj:
+                    flush()
+                    pending = None
+                    transcript.add_broadcast(obj["round"], obj["broadcast"])
+                    continue
+                key = (obj["round"], obj["subgroup"], obj["kind"])
                 user, value = obj["user"], obj["value"]
-            except KeyError as exc:
-                raise MalformedInputError(f"line {line_no}: missing field {exc}") from exc
-            if pending is not None and pending[:4] == key:
-                pending[4].append(user)
-                pending[5].append(value)
+            except (KeyError, TypeError) as exc:
+                raise MalformedInputError(f"line {line_no}: bad or missing field {exc}") from exc
+            if pending is not None and pending[:3] == key:
+                pending[3].append(user)
+                pending[4].append(value)
             else:
-                if pending is not None:
-                    transcript.add_messages(pending[1], pending[2], pending[3], np.array(pending[4]), np.array(pending[5]))
-                pending = ("messages", obj["round"], obj["subgroup"], obj["kind"], [user], [value])
-        if pending is not None:
-            transcript.add_messages(pending[1], pending[2], pending[3], np.array(pending[4]), np.array(pending[5]))
+                flush()
+                pending = (*key, [user], [value])
+        flush()
         return transcript
 
     @classmethod
@@ -468,103 +506,191 @@ class Transcript:
 
 
 # ---------------------------------------------------------------------------
-# Analyst-side computations, shared verbatim by the runners and the replay
-# path so both produce identical bits from identical reports.
+# Analyst side: one function computes every output from the plan and the
+# transcript. Live runs call it on the transcript their users write, and
+# replay calls it on a recorded one.
 
-def _quad_hists(plan: PartitionPlan, counts_by_level: Dict[int, np.ndarray]) -> Dict[int, QuadHistogram]:
-    return {
-        j: QuadHistogram(level_j=j, bins=debias_quad_counts(plan.eps, plan.k1, c), k=plan.k1)
-        for j, c in counts_by_level.items()
+_NO_MESSAGES = (np.empty(0, dtype=np.int64), np.empty(0))
+_DTYPE_KINDS = {"quad": "i", "sign": "i", "real": "f"}
+
+
+def _reportable(kind: str, blocks: List[np.ndarray], reach: List[float]) -> bool:
+    """Whether a randomizer of this kind can report every value of the
+    (nonempty) blocks; `reach` bounds each block's real values in magnitude."""
+    if any(block.dtype.kind != _DTYPE_KINDS[kind] for block in blocks):
+        return False
+    values = np.concatenate(blocks)
+    if kind == "real":
+        starts = np.cumsum([0] + [block.size for block in blocks[:-1]])
+        return bool(np.all(np.maximum.reduceat(np.abs(values), starts) < reach))
+    if kind == "quad":
+        return values.min() >= 0 and values.max() <= 3
+    return values.min() >= -1 and values.max() <= 1 and np.count_nonzero(values) == values.size
+
+
+def _gate(plan: PartitionPlan, transcript: Transcript, round_no: int) -> Dict[str, np.ndarray]:
+    """One round's reports, checked against the plan: tag -> values.
+
+    Raises MalformedInputError unless every message block belongs to a
+    planned subgroup, in its planned round and kind, with integer user
+    indices; every subgroup of this round is present with its planned
+    message count; and every value is one its randomizer can report: quad
+    values in {0,1,2,3}, sign values in {-1,+1}, real values finite (and
+    within the randomizer's reach in uv1). At the last round it also
+    requires the planned broadcasts, each between the rounds it separates,
+    and runs `Transcript.validate`.
+    """
+    subgroups = plan.subgroups()
+    for item in transcript._items:
+        if item[0] == "messages" and (
+            subgroups.get(item[2], ())[:2] != (item[1], item[3]) or item[4].dtype.kind != "i"
+        ):
+            raise MalformedInputError(
+                f"block {item[2]!r} ({item[3]!r} in round {item[1]!r}, "
+                f"{item[4].dtype} user indices) is not in the plan"
+            )
+    planned = {tag: spec[1:] for tag, spec in subgroups.items() if spec[0] == round_no}
+    groups = transcript.messages_by_subgroup()
+    reports = {}
+    for tag, (_, count, _) in planned.items():
+        users, reports[tag] = groups.get(tag, _NO_MESSAGES)
+        if users.size != count:
+            raise MalformedInputError(f"{tag} carries {users.size} messages, expected {count}")
+    for kind in {spec[0] for spec in planned.values()}:
+        tags = [tag for tag, spec in planned.items() if spec[0] == kind]
+        if not _reportable(kind, [reports[tag] for tag in tags], [planned[tag][2] for tag in tags]):
+            raise MalformedInputError(f"round {round_no} holds a {kind} value no randomizer reports")
+    if round_no == plan.rounds:
+        sent, expected = [r for r, _ in transcript.broadcasts()], list(range(2, plan.rounds + 1))
+        if sent != expected:
+            raise MalformedInputError(f"broadcasts for rounds {sent}, expected {expected}")
+        # Messages of round r come after the broadcast opening round r.
+        stages = [2 * item[1] - (item[0] == "broadcast") for item in transcript._items]
+        if stages != sorted(stages):
+            raise MalformedInputError("a broadcast is out of place between the rounds")
+        transcript.validate(max_rounds=plan.rounds)
+    return reports
+
+
+def _analyze(
+    plan: PartitionPlan, transcript: Transcript, respond: Optional[Callable[[dict], None]] = None
+) -> EstimateOutcome:
+    """Every analyst output, from the plan and the transcript alone: mu_hat1,
+    sigma_hat, the round-two broadcast and mu_hat2.
+
+    In a live two-round run, `respond` records the broadcast and lets the
+    round-two users answer it before round two is read; in replay, the
+    recorded broadcast must equal the one computed here.
+    """
+    reports = _gate(plan, transcript, 1)
+    bins = {
+        j: debias_quad_counts(plan.eps, plan.k1, quad_counts_from_values(reports[f"level:{j}"]))
+        for j in plan.levels
     }
+    sigma_hat = None
+    if plan.protocol in ("uv2", "uv1"):
+        paired = {
+            j: PairedHistogram(level_j=j, bins=pair_adjacent_bins(b), k=plan.k1)
+            for j, b in bins.items()
+        }
+        sigma_hat = est_var(plan.beta, plan.eps, paired, plan.k1, plan.level_plan)
+    quads = {j: QuadHistogram(level_j=j, bins=b, k=plan.k1) for j, b in bins.items()}
+    mu1 = est_mean(plan.beta, plan.eps, quads, plan.k1, plan.level_plan)
 
-def _paired_hists(plan: PartitionPlan, counts_by_level: Dict[int, np.ndarray]) -> Dict[int, PairedHistogram]:
-    return {
-        j: PairedHistogram(
-            level_j=j, bins=pair_adjacent_bins(debias_quad_counts(plan.eps, plan.k1, c)), k=plan.k1
-        )
-        for j, c in counts_by_level.items()
-    }
+    if plan.rounds == 2:
+        if plan.protocol == "kv2":
+            broadcast = {"mu_hat1": mu1}
+        else:
+            half_width = sigma_hat * (2.0 + math.sqrt(math.log(4.0 * plan.n)))
+            # A wildly wrong rough estimate can dwarf the width until mu1 - h
+            # == mu1 + h in floats; keep the interval nonempty so the run
+            # completes and the error surfaces in the estimate, not a crash.
+            half_width = max(half_width, 4.0 * math.ulp(abs(mu1)))
+            broadcast = {"interval_lo": mu1 - half_width, "interval_hi": mu1 + half_width}
+        if respond is not None:
+            respond(broadcast)
+        reports = _gate(plan, transcript, 2)
+        recorded = transcript.broadcasts()[0][1]
+        for key in sorted(set(recorded) | set(broadcast)):
+            if recorded.get(key) != broadcast.get(key):
+                raise ReplayMismatch(f"broadcast {key}", recorded.get(key), broadcast.get(key))
 
-
-def _analyst_mu1(plan: PartitionPlan, counts_by_level: Dict[int, np.ndarray]) -> float:
-    hists = _quad_hists(plan, counts_by_level)
-    return est_mean(plan.beta, plan.eps, hists, plan.k1, plan.level_plan)
-
-
-def _analyst_sigma_hat(plan: PartitionPlan, counts_by_level: Dict[int, np.ndarray]) -> float:
-    hists = _paired_hists(plan, counts_by_level)
-    return est_var(plan.beta, plan.eps, hists, plan.k1, plan.level_plan)
-
-
-def _analyst_kv_refine(plan: PartitionPlan, sign_values: np.ndarray, count: int, center: float) -> float:
-    hist = SignHistogram(
-        bins=debias_sign_counts(plan.eps, count, sign_counts_from_values(sign_values)), k=count
-    )
-    return refine_known_sigma(hist, count, center, plan.sigma)
-
-
-def _analyst_kv1_refine(plan: PartitionPlan, signs_by_group: Dict[int, np.ndarray], mu1: float) -> float:
-    tallies = {m: sign_counts_from_values(signs) for m, signs in signs_by_group.items()}
-    lattices = {m: plan.kv1_lattice(m) for m in plan.group_keys}
-    return refine_pooled_kv(tallies, lattices, mu1, plan.sigma, plan.eps)
-
-
-def _uv_interval(plan: PartitionPlan, mu1: float, sigma_hat: float) -> Tuple[float, float]:
-    half_width = sigma_hat * (2.0 + math.sqrt(math.log(4.0 * plan.n)))
-    # A wildly wrong rough estimate can dwarf the width until mu1 - h == mu1
-    # + h in floats; keep the interval nonempty so the run completes and the
-    # error surfaces in the estimate instead of a crash.
-    half_width = max(half_width, 4.0 * math.ulp(abs(mu1)))
-    return mu1 - half_width, mu1 + half_width
+    summary = plan.summary()
+    if plan.protocol == "kv2":
+        signs = reports["refine"]
+        counts = sign_counts_from_values(signs)
+        hist = SignHistogram(bins=debias_sign_counts(plan.eps, signs.size, counts), k=signs.size)
+        mu2 = refine_known_sigma(hist, signs.size, mu1, plan.sigma)
+    elif plan.protocol == "kv1":
+        tallies = {
+            m: sign_counts_from_values(reports[plan.subgroup_tag(m)]) for m in plan.group_keys
+        }
+        lattices = {m: plan.kv1_lattice(m) for m in plan.group_keys}
+        mu2 = refine_pooled_kv(tallies, lattices, mu1, plan.sigma, plan.eps)
+    elif plan.protocol == "uv2":
+        mu2 = (2.0 / plan.n) * float(np.sum(reports["refine"]))
+    else:
+        j1, m2, s_star = select_subgroup_uv(sigma_hat, mu1, plan.level_plan, plan.rho)
+        mu2 = s_star + float(np.sum(reports[plan.subgroup_tag((j1, m2))])) / plan.k2
+        summary["selected"] = {"level": j1, "subgroup": m2, "center": s_star}
+    return EstimateOutcome(plan.protocol, mu1, sigma_hat, mu2, summary)
 
 
 # ---------------------------------------------------------------------------
-# Runners
+# Runners: users emit, then the analyst decides on the transcript they wrote.
+# Only the user side reads samples, through the randomizer kernels.
 
-def _check_samples(config: ProtocolConfig, samples) -> np.ndarray:
+def _run(protocol: str, config: ProtocolConfig, samples, streams: TrialStreams):
+    plan = plan_partition(config, protocol)
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape != (config.n,):
         raise ConfigError(f"expected {config.n} samples, got shape {samples.shape}")
-    return samples
-
-
-def _run_level_round(
-    plan: PartitionPlan, samples: np.ndarray, streams: TrialStreams, transcript: Transcript
-) -> Dict[int, np.ndarray]:
-    """Round-one quad randomized response over the per-level blocks of U1."""
-    counts = {}
+    transcript = Transcript(protocol, config.n)
+    # Round one: quad randomized response over the level blocks of U1, then
+    # every one-round refinement subgroup's reports.
     for level_index, j in enumerate(plan.levels):
         idx = plan.u1_level_indices(level_index)
         draws = streams.matrix(idx, first=2, count=2)
         values = rr1_values(plan.eps, samples[idx], j, draws[:, 0], draws[:, 1])
         transcript.add_messages(1, f"level:{j}", "quad", idx, values)
-        counts[j] = quad_counts_from_values(values)
-    return counts
+    for group_index, key in enumerate(plan.group_keys):
+        idx = plan.u2_group_indices(group_index)
+        u = streams.matrix(idx, first=2, count=1)[:, 0]
+        if plan.protocol == "kv1":
+            centers = plan.kv1_lattice(key).nearest_points(samples[idx])
+            true_signs = sign_with_positive_zero((samples[idx] - centers) / plan.sigma)
+            values = sign_rr_values(plan.eps, true_signs, u)
+        else:
+            level, m = key
+            values = one_round_uv_rr2_values(
+                plan.eps, samples[idx], plan.uv1_lattice(level, m),
+                plan.uv1_noise_numerator(level), u,
+            )
+        transcript.add_messages(1, plan.subgroup_tag(key), plan.refine_kind, idx, values)
+
+    def respond(broadcast: dict) -> None:
+        """Round two: record the broadcast, and every U2 user answers it."""
+        transcript.add_broadcast(2, broadcast)
+        idx = plan.u2_indices()
+        u = streams.matrix(idx, first=2, count=1)[:, 0]
+        if plan.protocol == "kv2":
+            true_signs = sign_with_positive_zero((samples[idx] - broadcast["mu_hat1"]) / plan.sigma)
+            values = sign_rr_values(plan.eps, true_signs, u)
+        else:
+            lo, hi = broadcast["interval_lo"], broadcast["interval_hi"]
+            values = uv_rr2_values(plan.eps, samples[idx], lo, hi, u)
+        transcript.add_messages(2, "refine", plan.refine_kind, idx, values)
+
+    outcome = _analyze(plan, transcript, respond)
+    transcript.set_outcome(outcome)
+    return outcome, transcript
 
 
 def run_kv_two_round(
     config: ProtocolConfig, samples, streams: TrialStreams
 ) -> Tuple[EstimateOutcome, Transcript]:
     """Known variance, two rounds: level search, then centered sign reports."""
-    plan = plan_partition(config, "kv2")
-    samples = _check_samples(config, samples)
-    transcript = Transcript("kv2", config.n)
-
-    counts = _run_level_round(plan, samples, streams, transcript)
-    mu1 = _analyst_mu1(plan, counts)
-    transcript.add_broadcast(2, {"mu_hat1": mu1})
-
-    idx2 = plan.u2_indices()
-    draws = streams.matrix(idx2, first=2, count=1)
-    true_signs = sign_with_positive_zero((samples[idx2] - mu1) / plan.sigma)
-    signs = sign_rr_values(plan.eps, true_signs, draws[:, 0])
-    transcript.add_messages(2, "refine", "sign", idx2, signs)
-
-    mu2 = _analyst_kv_refine(plan, signs, idx2.size, mu1)
-    outcome = EstimateOutcome("kv2", mu1, None, mu2, plan.summary())
-    transcript.set_outcome(outcome)
-    transcript.validate(max_rounds=2)
-    return outcome, transcript
+    return _run("kv2", config, samples, streams)
 
 
 def run_kv_one_round(
@@ -574,29 +700,7 @@ def run_kv_one_round(
     computation; the refinement subgroups center on staggered lattices and
     the analyst pools all of them into one maximum-likelihood estimate
     within a lattice period of its rough estimate."""
-    plan = plan_partition(config, "kv1")
-    samples = _check_samples(config, samples)
-    transcript = Transcript("kv1", config.n)
-
-    counts = _run_level_round(plan, samples, streams, transcript)
-    group_signs: Dict[int, np.ndarray] = {}
-    for group_index, m in enumerate(plan.group_keys):
-        idx = plan.u2_group_indices(group_index)
-        draws = streams.matrix(idx, first=2, count=1)
-        lattice = plan.kv1_lattice(m)
-        centers = lattice.nearest_points(samples[idx])
-        true_signs = sign_with_positive_zero((samples[idx] - centers) / plan.sigma)
-        signs = sign_rr_values(plan.eps, true_signs, draws[:, 0])
-        transcript.add_messages(1, f"offset:{m}", "sign", idx, signs)
-        group_signs[m] = signs
-
-    # Analyst side: nothing above used any analyst output.
-    mu1 = _analyst_mu1(plan, counts)
-    mu2 = _analyst_kv1_refine(plan, group_signs, mu1)
-    outcome = EstimateOutcome("kv1", mu1, None, mu2, plan.summary())
-    transcript.set_outcome(outcome)
-    transcript.validate(max_rounds=1)
-    return outcome, transcript
+    return _run("kv1", config, samples, streams)
 
 
 def run_uv_two_round(
@@ -604,26 +708,7 @@ def run_uv_two_round(
 ) -> Tuple[EstimateOutcome, Transcript]:
     """Bounded variance, two rounds: one level round feeds both the scale
     bracket and the rough mean, then clamped noisy values are averaged."""
-    plan = plan_partition(config, "uv2")
-    samples = _check_samples(config, samples)
-    transcript = Transcript("uv2", config.n)
-
-    counts = _run_level_round(plan, samples, streams, transcript)
-    sigma_hat = _analyst_sigma_hat(plan, counts)
-    mu1 = _analyst_mu1(plan, counts)
-    lo, hi = _uv_interval(plan, mu1, sigma_hat)
-    transcript.add_broadcast(2, {"interval_lo": lo, "interval_hi": hi})
-
-    idx2 = plan.u2_indices()
-    draws = streams.matrix(idx2, first=2, count=1)
-    values = uv_rr2_values(plan.eps, samples[idx2], lo, hi, draws[:, 0])
-    transcript.add_messages(2, "refine", "real", idx2, values)
-
-    mu2 = (2.0 / plan.n) * float(np.sum(values))
-    outcome = EstimateOutcome("uv2", mu1, sigma_hat, mu2, plan.summary())
-    transcript.set_outcome(outcome)
-    transcript.validate(max_rounds=2)
-    return outcome, transcript
+    return _run("uv2", config, samples, streams)
 
 
 def run_uv_one_round(
@@ -631,32 +716,7 @@ def run_uv_one_round(
 ) -> Tuple[EstimateOutcome, Transcript]:
     """Bounded variance, one round: refinement subgroups cover every
     (scale, offset) pair so the analyst can pick the right one afterwards."""
-    plan = plan_partition(config, "uv1")
-    samples = _check_samples(config, samples)
-    transcript = Transcript("uv1", config.n)
-
-    counts = _run_level_round(plan, samples, streams, transcript)
-    group_values: Dict[tuple, np.ndarray] = {}
-    for group_index, (level, m) in enumerate(plan.group_keys):
-        idx = plan.u2_group_indices(group_index)
-        draws = streams.matrix(idx, first=2, count=1)
-        values = one_round_uv_rr2_values(
-            plan.eps, samples[idx], plan.uv1_lattice(level, m),
-            plan.uv1_noise_numerator(level), draws[:, 0],
-        )
-        transcript.add_messages(1, f"lattice:{level}:{m}", "real", idx, values)
-        group_values[(level, m)] = values
-
-    sigma_hat = _analyst_sigma_hat(plan, counts)
-    mu1 = _analyst_mu1(plan, counts)
-    j1, m2, s_star = select_subgroup_uv(sigma_hat, mu1, plan.level_plan, plan.rho)
-    mu2 = s_star + float(np.sum(group_values[(j1, m2)])) / plan.k2
-    summary = plan.summary()
-    summary["selected"] = {"level": j1, "subgroup": m2, "center": s_star}
-    outcome = EstimateOutcome("uv1", mu1, sigma_hat, mu2, summary)
-    transcript.set_outcome(outcome)
-    transcript.validate(max_rounds=1)
-    return outcome, transcript
+    return _run("uv1", config, samples, streams)
 
 
 RUNNERS = {
@@ -667,83 +727,18 @@ RUNNERS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# Replay: analyst outputs from transcript plus public configuration alone.
-
-def _collect_level_counts(plan: PartitionPlan, groups) -> Dict[int, np.ndarray]:
-    counts = {}
-    for j in plan.levels:
-        tag = f"level:{j}"
-        if tag not in groups:
-            raise MalformedInputError(f"transcript lacks messages for {tag}")
-        users, values = groups[tag]
-        if users.size != plan.k1:
-            raise MalformedInputError(
-                f"{tag} carries {users.size} messages, expected {plan.k1}"
-            )
-        counts[j] = quad_counts_from_values(values.astype(np.int64))
-    return counts
-
-
 def replay_analyst(protocol: str, config: ProtocolConfig, transcript: Transcript) -> EstimateOutcome:
     """Recompute every analyst output from the transcript and public config.
 
-    Raises MalformedInputError for structurally broken transcripts and
-    ReplayMismatch when a recorded broadcast or outcome diverges from the
+    Runs the analyst that live runs use on the recorded transcript. Raises
+    MalformedInputError for transcripts no run could produce, and
+    ReplayMismatch when the recorded broadcast or outcome diverges from the
     recomputation.
     """
-    if protocol not in PROTOCOLS:
-        raise ConfigError(f"unknown protocol {protocol!r}")
-    plan = plan_partition(config, protocol)
-    transcript.validate(max_rounds=2 if protocol in ("kv2", "uv2") else 1)
-    groups = transcript.messages_by_subgroup()
-    counts = _collect_level_counts(plan, groups)
-    broadcasts = dict(transcript.broadcasts())
-
-    def check(name, recorded, recomputed):
-        if recorded != recomputed:
-            raise ReplayMismatch(name, recorded, recomputed)
-
-    mu1 = _analyst_mu1(plan, counts)
-
-    if protocol == "kv2":
-        if 2 in broadcasts:
-            check("broadcast mu_hat1", broadcasts[2].get("mu_hat1"), mu1)
-        users, signs = groups.get("refine", (np.array([]), np.array([])))
-        if users.size != plan.n - plan.u2_start:
-            raise MalformedInputError("refinement round is missing messages")
-        mu2 = _analyst_kv_refine(plan, signs.astype(np.int64), users.size, mu1)
-        recomputed = EstimateOutcome("kv2", mu1, None, mu2, plan.summary())
-    elif protocol == "kv1":
-        signs_by_group = {}
-        for m in plan.group_keys:
-            tag = f"offset:{m}"
-            if tag not in groups or groups[tag][0].size != plan.k2:
-                raise MalformedInputError(f"refinement subgroup {tag} incomplete in transcript")
-            signs_by_group[m] = groups[tag][1].astype(np.int64)
-        mu2 = _analyst_kv1_refine(plan, signs_by_group, mu1)
-        recomputed = EstimateOutcome("kv1", mu1, None, mu2, plan.summary())
-    elif protocol == "uv2":
-        sigma_hat = _analyst_sigma_hat(plan, counts)
-        lo, hi = _uv_interval(plan, mu1, sigma_hat)
-        if 2 in broadcasts:
-            check("broadcast interval_lo", broadcasts[2].get("interval_lo"), lo)
-            check("broadcast interval_hi", broadcasts[2].get("interval_hi"), hi)
-        users, values = groups.get("refine", (np.array([]), np.array([])))
-        if users.size != plan.n - plan.u2_start:
-            raise MalformedInputError("refinement round is missing messages")
-        mu2 = (2.0 / plan.n) * float(np.sum(values.astype(np.float64)))
-        recomputed = EstimateOutcome("uv2", mu1, sigma_hat, mu2, plan.summary())
-    else:
-        sigma_hat = _analyst_sigma_hat(plan, counts)
-        j1, m2, s_star = select_subgroup_uv(sigma_hat, mu1, plan.level_plan, plan.rho)
-        tag = f"lattice:{j1}:{m2}"
-        if tag not in groups or groups[tag][0].size != plan.k2:
-            raise MalformedInputError(f"selected subgroup {tag} incomplete in transcript")
-        mu2 = s_star + float(np.sum(groups[tag][1].astype(np.float64))) / plan.k2
-        recomputed = EstimateOutcome("uv1", mu1, sigma_hat, mu2, plan.summary())
-
+    outcome = _analyze(plan_partition(config, protocol), transcript)
     if transcript.outcome is not None:
         for name in ("protocol", "mu_hat1", "sigma_hat", "mu_hat2"):
-            check(name, getattr(transcript.outcome, name), getattr(recomputed, name))
-    return recomputed
+            recorded, recomputed = getattr(transcript.outcome, name), getattr(outcome, name)
+            if recorded != recomputed:
+                raise ReplayMismatch(name, recorded, recomputed)
+    return outcome

@@ -1,56 +1,25 @@
 """User-side local randomizers.
 
-Each operation consumes one private sample plus public parameters and emits
-exactly one report; this module is the only code that reads raw samples.
-Every randomizer satisfies a pure epsilon local-privacy bound, certified in
-closed form by the audit helpers at the bottom.
-
-Scalar operations draw from the caller's RandomStream in a fixed order and
-delegate to the same vectorized kernels the protocol engine uses, so both
-paths produce identical bits.
+Each kernel privatizes a block of users at once: one private sample plus
+public parameters and the user's own uniform draws give exactly one report
+per user. The kernels are the only code that reads raw samples, and the one
+implementation of user-side randomization. Every randomizer satisfies a pure
+epsilon local-privacy bound, certified in closed form by the audit helpers
+at the bottom.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from ldpgauss.numerics import (
-    RandomStream,
     floor_div_mod4,
     floor_div_mod4_array,
     laplace_from_uniform,
 )
-
-
-@dataclass(frozen=True)
-class QuadReport:
-    """Randomized response over {0,1,2,3} for one user at one level."""
-
-    user_id: int
-    level_j: int
-    value: int
-
-
-@dataclass(frozen=True)
-class SignReport:
-    """Randomized response over {-1,+1} for one user."""
-
-    user_id: int
-    value: int
-    subgroup: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class RealReport:
-    """Noised real-valued report for one user."""
-
-    user_id: int
-    value: float
-    subgroup: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -97,7 +66,7 @@ def sign_with_positive_zero(values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized kernels (the protocol engine's fast path).
+# Vectorized kernels.
 
 def rr1_values(eps, xs, level_j, u_keep, u_alt):
     """Four-way randomized response on floor(x / 2^level_j) mod 4."""
@@ -128,100 +97,6 @@ def one_round_uv_rr2_values(eps, xs, lattice: LatticeSpec, noise_scale_numerator
     _require_positive_eps(eps)
     residual = np.asarray(xs, dtype=np.float64) - lattice.nearest_points(xs)
     return residual + laplace_from_uniform(np.asarray(u_noise), noise_scale_numerator / eps)
-
-
-# ---------------------------------------------------------------------------
-# Per-user operations (one report each; draws come from the user's stream).
-
-def rr1(stream: RandomStream, eps: float, x: float, level_j: int, user_id: int = 0) -> QuadReport:
-    """Privatize one sample's quad digit at the given level.
-
-    Reports floor(x / 2^level_j) mod 4 with probability e^eps/(e^eps+3),
-    otherwise one of the other three values uniformly. Consumes two uniforms.
-    """
-    _require_positive_eps(eps)
-    u_keep = stream.next_uniform()
-    u_alt = stream.next_uniform()
-    value = int(rr1_values(eps, np.array([x]), level_j, np.array([u_keep]), np.array([u_alt]))[0])
-    return QuadReport(user_id=user_id, level_j=level_j, value=value)
-
-
-def kv_rr2(
-    stream: RandomStream, eps: float, x: float, mu_hat1: float, sigma: float, user_id: int = 0
-) -> SignReport:
-    """Privatize the sign of the standardized residual (x - mu_hat1)/sigma.
-
-    The true sign (with sign(0) = +1) is kept with probability
-    e^eps/(e^eps+1) and negated otherwise. Consumes one uniform.
-    """
-    _require_positive_eps(eps)
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    u_keep = stream.next_uniform()
-    true_sign = sign_with_positive_zero(np.array([(x - mu_hat1) / sigma]))
-    value = int(sign_rr_values(eps, true_sign, np.array([u_keep]))[0])
-    return SignReport(user_id=user_id, value=value)
-
-
-def one_round_kv_rr2(
-    stream: RandomStream,
-    eps: float,
-    x: float,
-    lattice: LatticeSpec,
-    sigma: float,
-    user_id: int = 0,
-    subgroup: Optional[int] = None,
-) -> SignReport:
-    """Like kv_rr2 but centered at the nearest point of the subgroup lattice."""
-    _require_positive_eps(eps)
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    u_keep = stream.next_uniform()
-    center = lattice.nearest_point(x)
-    true_sign = sign_with_positive_zero(np.array([(x - center) / sigma]))
-    value = int(sign_rr_values(eps, true_sign, np.array([u_keep]))[0])
-    return SignReport(user_id=user_id, value=value, subgroup=subgroup)
-
-
-def uv_rr2(
-    stream: RandomStream,
-    eps: float,
-    x: float,
-    interval_lo: float,
-    interval_hi: float,
-    user_id: int = 0,
-) -> RealReport:
-    """Clamp the sample to the public interval and add calibrated Laplace noise.
-
-    Noise scale is (hi - lo)/eps, the sensitivity of the clamped value over
-    the budget. Consumes one uniform.
-    """
-    u_noise = stream.next_uniform()
-    value = float(uv_rr2_values(eps, np.array([x]), interval_lo, interval_hi, np.array([u_noise]))[0])
-    return RealReport(user_id=user_id, value=value)
-
-
-def one_round_uv_rr2(
-    stream: RandomStream,
-    eps: float,
-    x: float,
-    lattice: LatticeSpec,
-    noise_scale_numerator: float,
-    user_id: int = 0,
-    subgroup: Optional[tuple] = None,
-) -> RealReport:
-    """Report the residual to the nearest lattice point plus Laplace noise.
-
-    The pre-noise residual always lies in [-spacing/2, spacing/2]; the noise
-    scale numerator (twice the lattice spacing) is supplied by the protocol
-    layer. Consumes one uniform.
-    """
-    _require_positive_eps(eps)
-    u_noise = stream.next_uniform()
-    value = float(
-        one_round_uv_rr2_values(eps, np.array([x]), lattice, noise_scale_numerator, np.array([u_noise]))[0]
-    )
-    return RealReport(user_id=user_id, value=value, subgroup=subgroup)
 
 
 # ---------------------------------------------------------------------------

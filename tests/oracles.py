@@ -1,16 +1,43 @@
-"""Independent oracles shared by the test suite.
+"""Independent oracles and scalar reference operations shared by the tests.
 
-Everything here is computed by a different route than the code under test:
-Gaussian cell masses come straight from the CDF, nearest points and subgroup
-winners from bounded brute-force scans.
+The oracles compute by a different route than the code under test: Gaussian
+cell masses come straight from the CDF, nearest points and subgroup winners
+from bounded brute-force scans.
+
+The scalar operations at the bottom handle one user at a time, drawing from
+that user's RandomStream in a fixed order, and aggregate lists of per-user
+reports. The library privatizes users only through its vectorized kernels;
+these compose the same kernels user by user, so the tests can check the
+engine's block draws and counts report by report.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-from ldpgauss.aggregation import PairedHistogram, QuadHistogram, pair_adjacent_bins
+from ldpgauss.aggregation import (
+    MalformedInputError,
+    PairedHistogram,
+    QuadHistogram,
+    SignHistogram,
+    debias_quad_counts,
+    debias_sign_counts,
+    pair_adjacent_bins,
+    quad_counts_from_values,
+    sign_counts_from_values,
+)
 from ldpgauss.analyst import LevelPlan
+from ldpgauss.numerics import RandomStream, gaussian_from_uniforms, laplace_from_uniform
+from ldpgauss.randomizers import (
+    LatticeSpec,
+    one_round_uv_rr2_values,
+    rr1_values,
+    sign_rr_values,
+    sign_with_positive_zero,
+    uv_rr2_values,
+)
 
 
 def normal_cdf(z: float) -> float:
@@ -87,3 +114,199 @@ def brute_force_subgroup_uv(sigma_hat: float, mu_hat1: float, rho: int, b_window
     offsets = {m: m * 2.0 ** j1 for m in range(1, rho + 1)}
     m_star, point = brute_force_subgroup_kv(mu_hat1, offsets, rho * 2.0 ** j1, b_window)
     return j1, m_star, point
+
+
+# ---------------------------------------------------------------------------
+# Scalar streams and samplers.
+
+def uniforms(stream: RandomStream, count: int) -> np.ndarray:
+    return np.array([stream.next_uniform() for _ in range(count)])
+
+
+def sample_gaussian(stream: RandomStream, mu: float, sigma: float) -> float:
+    """One N(mu, sigma^2) draw; consumes exactly two uniforms."""
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    u1 = stream.next_uniform()
+    u2 = stream.next_uniform()
+    return float(gaussian_from_uniforms(np.float64(u1), np.float64(u2), mu, sigma))
+
+
+def sample_laplace(stream: RandomStream, scale: float) -> float:
+    """One Laplace(scale) draw; consumes exactly one uniform."""
+    if not scale > 0.0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    return float(laplace_from_uniform(np.float64(stream.next_uniform()), scale))
+
+
+# ---------------------------------------------------------------------------
+# Per-user randomizers (one report each; draws come from the user's stream).
+
+@dataclass(frozen=True)
+class QuadReport:
+    """Randomized response over {0,1,2,3} for one user at one level."""
+
+    user_id: int
+    level_j: int
+    value: int
+
+
+@dataclass(frozen=True)
+class SignReport:
+    """Randomized response over {-1,+1} for one user."""
+
+    user_id: int
+    value: int
+    subgroup: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class RealReport:
+    """Noised real-valued report for one user."""
+
+    user_id: int
+    value: float
+    subgroup: Optional[tuple] = None
+
+
+def rr1(stream: RandomStream, eps: float, x: float, level_j: int, user_id: int = 0) -> QuadReport:
+    """Privatize one sample's quad digit at the given level.
+
+    Reports floor(x / 2^level_j) mod 4 with probability e^eps/(e^eps+3),
+    otherwise one of the other three values uniformly. Consumes two uniforms.
+    """
+    u_keep = stream.next_uniform()
+    u_alt = stream.next_uniform()
+    value = int(rr1_values(eps, np.array([x]), level_j, np.array([u_keep]), np.array([u_alt]))[0])
+    return QuadReport(user_id=user_id, level_j=level_j, value=value)
+
+
+def kv_rr2(
+    stream: RandomStream, eps: float, x: float, mu_hat1: float, sigma: float, user_id: int = 0
+) -> SignReport:
+    """Privatize the sign of the standardized residual (x - mu_hat1)/sigma.
+
+    The true sign (with sign(0) = +1) is kept with probability
+    e^eps/(e^eps+1) and negated otherwise. Consumes one uniform.
+    """
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    u_keep = stream.next_uniform()
+    true_sign = sign_with_positive_zero(np.array([(x - mu_hat1) / sigma]))
+    value = int(sign_rr_values(eps, true_sign, np.array([u_keep]))[0])
+    return SignReport(user_id=user_id, value=value)
+
+
+def one_round_kv_rr2(
+    stream: RandomStream,
+    eps: float,
+    x: float,
+    lattice: LatticeSpec,
+    sigma: float,
+    user_id: int = 0,
+    subgroup: Optional[int] = None,
+) -> SignReport:
+    """Like kv_rr2 but centered at the nearest point of the subgroup lattice."""
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    u_keep = stream.next_uniform()
+    center = lattice.nearest_point(x)
+    true_sign = sign_with_positive_zero(np.array([(x - center) / sigma]))
+    value = int(sign_rr_values(eps, true_sign, np.array([u_keep]))[0])
+    return SignReport(user_id=user_id, value=value, subgroup=subgroup)
+
+
+def uv_rr2(
+    stream: RandomStream,
+    eps: float,
+    x: float,
+    interval_lo: float,
+    interval_hi: float,
+    user_id: int = 0,
+) -> RealReport:
+    """Clamp the sample to the public interval and add calibrated Laplace noise.
+
+    Noise scale is (hi - lo)/eps, the sensitivity of the clamped value over
+    the budget. Consumes one uniform.
+    """
+    u_noise = stream.next_uniform()
+    value = float(uv_rr2_values(eps, np.array([x]), interval_lo, interval_hi, np.array([u_noise]))[0])
+    return RealReport(user_id=user_id, value=value)
+
+
+def one_round_uv_rr2(
+    stream: RandomStream,
+    eps: float,
+    x: float,
+    lattice: LatticeSpec,
+    noise_scale_numerator: float,
+    user_id: int = 0,
+    subgroup: Optional[tuple] = None,
+) -> RealReport:
+    """Report the residual to the nearest lattice point plus Laplace noise.
+
+    The pre-noise residual always lies in [-spacing/2, spacing/2]; the noise
+    scale numerator (twice the lattice spacing) is supplied by the protocol
+    layer. Consumes one uniform.
+    """
+    u_noise = stream.next_uniform()
+    value = float(
+        one_round_uv_rr2_values(eps, np.array([x]), lattice, noise_scale_numerator, np.array([u_noise]))[0]
+    )
+    return RealReport(user_id=user_id, value=value, subgroup=subgroup)
+
+
+# ---------------------------------------------------------------------------
+# Aggregation of per-user report lists.
+
+def _group_quad_reports(
+    k: int, levels: Iterable[int], reports: Iterable[QuadReport]
+) -> Dict[int, np.ndarray]:
+    levels = list(levels)
+    per_level = {j: [] for j in levels}
+    for rep in reports:
+        if rep.level_j not in per_level:
+            raise MalformedInputError(f"report for unknown level {rep.level_j}")
+        per_level[rep.level_j].append(rep.value)
+    counts = {}
+    for j in levels:
+        vals = per_level[j]
+        if len(vals) != k:
+            raise MalformedInputError(
+                f"level {j} has {len(vals)} reports, expected exactly {k}"
+            )
+        counts[j] = quad_counts_from_values(np.array(vals, dtype=np.int64))
+    return counts
+
+
+def kv_agg1(
+    eps: float, k: int, levels: Iterable[int], reports: Iterable[QuadReport]
+) -> Dict[int, QuadHistogram]:
+    """Debias per-level quad counts into unbiased histogram estimates."""
+    counts = _group_quad_reports(k, levels, reports)
+    return {
+        j: QuadHistogram(level_j=j, bins=debias_quad_counts(eps, k, c), k=k)
+        for j, c in counts.items()
+    }
+
+
+def agg1(
+    eps: float, k: int, levels: Iterable[int], reports: Iterable[QuadReport]
+) -> Dict[int, PairedHistogram]:
+    """Debias quad counts, then sum adjacent bins (wrapping mod 4)."""
+    counts = _group_quad_reports(k, levels, reports)
+    return {
+        j: PairedHistogram(
+            level_j=j, bins=pair_adjacent_bins(debias_quad_counts(eps, k, c)), k=k
+        )
+        for j, c in counts.items()
+    }
+
+
+def kv_agg2(eps: float, k: int, reports: Iterable[SignReport]) -> SignHistogram:
+    """Debias sign counts into an unbiased two-bin histogram."""
+    values = [rep.value for rep in reports]
+    if len(values) != k:
+        raise MalformedInputError(f"got {len(values)} sign reports, expected exactly {k}")
+    counts = sign_counts_from_values(np.array(values, dtype=np.int64))
+    return SignHistogram(bins=debias_sign_counts(eps, k, counts), k=k)

@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 
 from ldpgauss.aggregation import (
     MalformedInputError,
-    agg1,
     debias_quad_counts,
-    kv_agg1,
-    kv_agg2,
     pair_adjacent_bins,
     quad_counts_from_values,
 )
 from ldpgauss.numerics import uniform_block
-from ldpgauss.randomizers import QuadReport, SignReport, rr1_values
+from ldpgauss.randomizers import rr1_values
+from oracles import QuadReport, SignReport, agg1, kv_agg1, kv_agg2
 
 
 def quad_reports(level_j, values):

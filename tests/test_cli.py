@@ -44,6 +44,25 @@ class TestSimulate:
         assert read(out1 / "results.csv") == read(out2 / "results.csv")
         assert read(out1 / "summary.csv") == read(out2 / "summary.csv")
 
+    def test_transcript_comes_from_the_harness_run(self, tmp_path, monkeypatch):
+        from ldpgauss import protocols
+
+        runner = protocols.RUNNERS["kv2"]
+        calls = []
+
+        def counting_runner(config, samples, streams):
+            calls.append(streams.trial_index)
+            return runner(config, samples, streams)
+
+        monkeypatch.setitem(protocols.RUNNERS, "kv2", counting_runner)
+        out = tmp_path / "not-yet-made"
+        transcript = out / "run.jsonl"
+        assert cli.main(simulate_args(out) + ["--transcript", str(transcript)]) == 0
+        assert len(calls) == 3  # one runner call per trial, none extra for the transcript
+        outcome = json.loads(transcript.read_text().splitlines()[-1])["outcome"]
+        first_row = (out / "results.csv").read_text().splitlines()[1].split(",")
+        assert first_row[5] == "0" and float(first_row[8]) == outcome["mu_hat2"]
+
     def test_config_file_with_flag_override(self, tmp_path):
         config = {
             "protocol": "kv2", "n": 4096, "eps": 1.0, "beta": 0.05, "mu": 10.0,
@@ -137,6 +156,17 @@ class TestReplay:
         mutated.write_text("\n".join(lines) + "\n")
         assert cli.main(self.replay_args(tmp_path, mutated)) == 1
         assert "mismatch" in capsys.readouterr().err
+
+    def test_impossible_report_value_exits_2(self, tmp_path, capsys):
+        transcript = self.run_with_transcript(tmp_path)
+        lines = transcript.read_text().splitlines()
+        first = json.loads(lines[0])
+        assert first["kind"] == "quad"
+        lines[0] = json.dumps(dict(first, value=-1), separators=(",", ":"))
+        mutated = tmp_path / "mutated.jsonl"
+        mutated.write_text("\n".join(lines) + "\n")
+        assert cli.main(self.replay_args(tmp_path, mutated)) == 2
+        assert "malformed input" in capsys.readouterr().err
 
     def test_truncated_transcript_exits_2(self, tmp_path):
         transcript = self.run_with_transcript(tmp_path)

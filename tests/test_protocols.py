@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -19,6 +20,7 @@ from ldpgauss.protocols import (
     replay_analyst,
 )
 from ldpgauss.protocols import RUNNERS
+from oracles import kv_rr2, rr1, sample_gaussian
 
 
 def make_config(protocol, n=2 ** 14, eps=1.0, mu=10.0, sigma=1.0, seed=3, **kwargs):
@@ -266,9 +268,6 @@ class TestScalarOpsMatchEngine:
     def test_kv2_engine_equals_per_user_scalar_composition(self):
         # The engine's vectorized path must produce, user for user, exactly
         # the reports that composing the scalar contract operations yields.
-        from ldpgauss.numerics import sample_gaussian
-        from ldpgauss.randomizers import kv_rr2, rr1
-
         config = make_config("kv2", n=64, k=8, seed=21)
         streams = TrialStreams(config.master_seed, 5)
         samples = sample_population(config.truth, config.n, streams)
@@ -308,9 +307,73 @@ class TestTranscriptAndReplay:
             k=config.k, k1=config.k1, k2=config.k2,
         )
         replayed = replay_analyst(protocol, public, Transcript.loads(transcript.dumps(), protocol, config.n))
-        assert replayed.mu_hat1 == outcome.mu_hat1
-        assert replayed.sigma_hat == outcome.sigma_hat
-        assert replayed.mu_hat2 == outcome.mu_hat2
+        for field in dataclasses.fields(outcome):
+            assert getattr(replayed, field.name) == getattr(outcome, field.name), field.name
+
+    @pytest.mark.parametrize("protocol,kwargs,edit", [
+        ("uv1", dict(k1=2048, sigma=3.0), "drop unselected lattice subgroup"),
+        ("uv1", dict(k1=2048, sigma=3.0), "unselected lattice values 1e300"),
+        ("kv2", dict(k=512), "drop broadcast"),
+        ("uv2", dict(k1=2048, sigma=3.0), "drop broadcast"),
+        ("kv2", dict(k=512), "broadcast after round two"),
+        ("kv2", dict(k=512), "sign value -7"),
+        ("kv2", dict(k=512), "sign value 1.5"),
+        ("kv2", dict(k=512), "quad value 3.9"),
+        ("kv2", dict(k=512), "quad value -1"),
+        ("kv2", dict(k=512), "refine relabelled to round 1"),
+        ("kv2", dict(k=512), "round given as a string"),
+        ("kv2", dict(k=512), "user index 1.5"),
+        ("kv2", dict(k=512), "line not an object"),
+        ("kv2", dict(k=512), "outcome without mu_hat2"),
+        ("kv2", dict(k=512), "broadcast not an object"),
+        ("kv1", dict(k1=512), "unplanned subgroup"),
+    ])
+    def test_transcript_no_run_could_produce_rejected(self, protocol, kwargs, edit):
+        config = make_config(protocol, **kwargs)
+        outcome, transcript = run_once(protocol, config)
+        lines = [json.loads(line) for line in transcript.dumps().splitlines()]
+        plan = plan_partition(config, protocol)
+
+        def set_first(kind, value):
+            next(obj for obj in lines if obj.get("kind") == kind)["value"] = value
+            return lines
+
+        if protocol == "uv1":
+            selected = outcome.plan_summary["selected"]
+            selected = plan.subgroup_tag((selected["level"], selected["subgroup"]))
+            tag = next(plan.subgroup_tag(key) for key in plan.group_keys
+                       if plan.subgroup_tag(key) != selected)
+        edits = {
+            "drop unselected lattice subgroup": lambda: [
+                obj for obj in lines if obj.get("subgroup") != tag],
+            "unselected lattice values 1e300": lambda: [
+                dict(obj, value=1e300) if obj.get("subgroup") == tag else obj for obj in lines],
+            "drop broadcast": lambda: [obj for obj in lines if "broadcast" not in obj],
+            "broadcast after round two": lambda: (
+                [obj for obj in lines[:-1] if "broadcast" not in obj]
+                + [obj for obj in lines if "broadcast" in obj] + lines[-1:]),
+            "sign value -7": lambda: set_first("sign", -7),
+            "sign value 1.5": lambda: set_first("sign", 1.5),
+            "quad value 3.9": lambda: set_first("quad", 3.9),
+            "quad value -1": lambda: set_first("quad", -1),
+            "refine relabelled to round 1": lambda: [
+                dict(obj, round=1) if obj.get("subgroup") == "refine" else obj for obj in lines],
+            "round given as a string": lambda: [dict(lines[0], round="1")] + lines[1:],
+            "user index 1.5": lambda: [dict(lines[0], user=1.5)] + lines[1:],
+            "line not an object": lambda: [[1, 2]] + lines[1:],
+            "outcome without mu_hat2": lambda: lines[:-1] + [{"outcome": {
+                k: v for k, v in lines[-1]["outcome"].items() if k != "mu_hat2"}}],
+            "broadcast not an object": lambda: [
+                dict(obj, broadcast=[1, 2]) if "broadcast" in obj else obj for obj in lines],
+            "unplanned subgroup": lambda: lines[:-1] + [{
+                "round": 1, "subgroup": "offset:0", "kind": "sign", "value": 1,
+                "user": int(np.setdiff1d(np.arange(config.n), transcript.user_ids())[0]),
+            }] + lines[-1:],
+        }
+        text = "\n".join(json.dumps(obj, separators=(",", ":")) for obj in edits[edit]())
+        assert text != transcript.dumps().rstrip("\n")
+        with pytest.raises(MalformedInputError):
+            replay_analyst(protocol, config, Transcript.loads(text, protocol, config.n))
 
     def test_mutated_value_detected(self):
         config = make_config("kv2", k=512)

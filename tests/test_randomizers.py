@@ -8,23 +8,25 @@ from hypothesis import strategies as st
 from ldpgauss.numerics import RandomStream, uniform_block
 from ldpgauss.randomizers import (
     LatticeSpec,
-    QuadReport,
-    SignReport,
-    kv_rr2,
-    one_round_kv_rr2,
-    one_round_uv_rr2,
     one_round_uv_rr2_values,
     quad_keep_prob,
-    rr1,
     rr1_distribution,
     rr1_values,
     sign_keep_prob,
     sign_rr_distribution,
     sign_rr_values,
     sign_with_positive_zero,
-    uv_rr2,
     uv_rr2_log_density,
     uv_rr2_values,
+)
+from oracles import (
+    QuadReport,
+    SignReport,
+    kv_rr2,
+    one_round_kv_rr2,
+    one_round_uv_rr2,
+    rr1,
+    uv_rr2,
 )
 
 
