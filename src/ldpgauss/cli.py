@@ -1,6 +1,7 @@
 """Command-line front end: simulate, sweep, audit, replay.
 
-Configuration can come from flags or a flat JSON file (--config); flags win.
+Configuration can come from flags or a flat JSON file (--config); flags win,
+and a file key that names no option of the subcommand is an error.
 Exit codes are a stable contract: 0 success, 1 runtime or verification
 failure, 2 usage or configuration error.
 
@@ -22,6 +23,7 @@ from ldpgauss.harness import (
     ExperimentSpec,
     default_audit_report,
     error_summary,
+    k1_for_levels,
     run_trials,
     sample_population,  # not called here; perfbench/tracing.py wraps this name
     slopes_by_cell_group,
@@ -82,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--out", type=Path, help="output directory (default $LDPGAUSS_OUT or .)")
         p.add_argument("--proof-constants", dest="proof_constants", action="store_true", default=None)
-        p.add_argument("--c-k", dest="c_k", type=float)
         p.add_argument("--timing", action="store_true", default=None,
                        help="record real wall times (breaks byte-identical reruns)")
 
@@ -119,6 +120,8 @@ def _merge_config_file(args: argparse.Namespace) -> dict:
             raise UsageError("config file must hold a flat JSON object")
         for key, value in loaded.items():
             key = key.replace("-", "_")
+            if key not in merged or key == "command":
+                raise UsageError(f"config file key {key!r} names no option of {args.command}")
             if merged.get(key) is None:
                 merged[key] = value
     return merged
@@ -156,7 +159,6 @@ def _spec_from(merged: dict, n_values, eps_values, mu_values, sigma_values) -> E
         k1=merged.get("k1"),
         k2=merged.get("k2"),
         levels_target=merged.get("levels"),
-        c_k=float(merged.get("c_k") or 8.0),
         proof_constants=bool(merged.get("proof_constants")),
     )
 
@@ -272,16 +274,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         mode = BoundedSigma(merged["sigma_min"], merged["sigma_max"])
     config = ProtocolConfig(
         eps=merged["eps"], beta=float(merged.get("beta") or 0.05), n=merged["n"],
-        variance_mode=mode, truth=None,
-        k=merged.get("k"), k1=merged.get("k1"), k2=merged.get("k2"),
-        c_k=float(merged.get("c_k") or 8.0),
+        variance_mode=mode, truth=None, k=merged.get("k"), k2=merged.get("k2"),
+        k1=k1_for_levels(merged["n"], merged.get("levels"), merged.get("k"), merged.get("k1")),
         proof_constants=bool(merged.get("proof_constants")),
     )
-    if merged.get("levels"):
-        config = ProtocolConfig(
-            eps=config.eps, beta=config.beta, n=config.n, variance_mode=mode, truth=None,
-            k=None, k1=(config.n // 2) // int(merged["levels"]), k2=merged.get("k2"),
-        )
     transcript = Transcript.load(merged["transcript"], protocol, config.n)
     outcome = replay_analyst(protocol, config, transcript)
     print(

@@ -74,6 +74,20 @@ def error_summary(errors: Sequence[float]) -> Dict[str, float]:
     }
 
 
+def k1_for_levels(n: int, levels, k, k1) -> Optional[int]:
+    """The k1 a configuration asks for: the explicit k1 when `levels` is None,
+    else floor(n/2 / levels), which fits `levels` levels into the first n/2
+    users. `levels` must then be an integer from 1 to n/2, and come without
+    an explicit k or k1."""
+    if levels is None:
+        return k1
+    if k is not None or k1 is not None:
+        raise ConfigError("levels conflicts with an explicit k/k1")
+    if isinstance(levels, bool) or not isinstance(levels, int) or not 1 <= levels <= n // 2:
+        raise ConfigError(f"levels must be an integer from 1 to n/2 = {n // 2}, got {levels!r}")
+    return (n // 2) // levels
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A grid of protocol configurations and a trial count per cell.
@@ -81,8 +95,8 @@ class ExperimentSpec:
     Exactly one of the known-variance protocols (kv2, kv1) or the
     bounded-variance ones (uv2, uv1) is selected by `protocol`; the latter
     require sigma_bounds. `levels_target`, when set, sizes the level
-    subgroups as floor(n/2 / levels_target) per cell so sweeps keep a fixed
-    level count and the error scaling in n stays clean.
+    subgroups per cell with `k1_for_levels`, so sweeps keep a fixed level
+    count and the error scaling in n stays clean.
     """
 
     protocol: str
@@ -98,7 +112,6 @@ class ExperimentSpec:
     k1: Optional[int] = None
     k2: Optional[int] = None
     levels_target: Optional[int] = None
-    c_k: float = 8.0
     proof_constants: bool = False
 
     def __post_init__(self):
@@ -113,8 +126,8 @@ class ExperimentSpec:
             raise ConfigError(f"protocol {self.protocol} needs sigma bounds")
         if self.protocol in ("kv2", "kv1") and self.sigma_bounds is not None:
             raise ConfigError(f"protocol {self.protocol} does not take sigma bounds")
-        if self.levels_target is not None and (self.k or self.k1):
-            raise ConfigError("levels_target conflicts with an explicit k/k1")
+        # the smallest n bounds the level count
+        k1_for_levels(min(self.n_values), self.levels_target, self.k, self.k1)
 
     def cells(self) -> List[Tuple[int, float, float, float]]:
         return [
@@ -130,16 +143,11 @@ class ExperimentSpec:
             mode = KnownSigma(sigma)
         else:
             mode = BoundedSigma(*self.sigma_bounds)
-        k = self.k
-        k1 = self.k1
-        if self.levels_target is not None:
-            k1 = (n // 2) // self.levels_target
-            k = None
         return ProtocolConfig(
             eps=eps, beta=self.beta, n=n, variance_mode=mode,
-            truth=SimulationTruth(mu=mu, sigma=sigma),
-            master_seed=self.master_seed, k=k, k1=k1, k2=self.k2,
-            c_k=self.c_k, proof_constants=self.proof_constants,
+            truth=SimulationTruth(mu=mu, sigma=sigma), master_seed=self.master_seed,
+            k=self.k, k1=k1_for_levels(n, self.levels_target, self.k, self.k1), k2=self.k2,
+            proof_constants=self.proof_constants,
         )
 
 

@@ -9,19 +9,21 @@ replay runs the same analyst on a recorded one and compares. That the
 outputs match bit for bit without samples is the executable proof that the
 analyst never needed them.
 
-Partitioning is deterministic: the first half of the user indices is split
-into per-level blocks (ascending level order), the second half either
-reports wholesale in round two or is split into one-round subgroup blocks.
-Leftover users that do not fill a block are assigned to a discard pool and
-never queried.
+Partitioning is public and deterministic: `plan_partition` lays a run out
+once, as the plan's block table of every transcript item in emission order.
+The first half of the user indices is split into per-level blocks (ascending
+level order); the second half either answers the round-two broadcast
+wholesale or is split into one-round subgroup blocks. Leftover users are
+never queried. Runners emit by walking the table, and the analyst's gate
+requires a transcript to equal it block for block.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -59,6 +61,9 @@ PROTOCOLS = ("kv2", "kv1", "uv2", "uv1")
 
 # 2^level must stay a normal double; beyond this the config is nonsense.
 _MAX_TOP_LEVEL = 960
+
+# Unset level sizes are ceil(_LEVEL_SIZE_C * ln(8 max(n,2)/beta) / eps^2).
+_LEVEL_SIZE_C = 8.0
 
 # laplace_from_uniform never sees a uniform within 2^-54 of 0 or 1, so a
 # Laplace(b) draw stays within 53 ln(2) b < 37 b of zero; 40 leaves room
@@ -119,8 +124,8 @@ class ProtocolConfig:
 
     Subgroup sizes: k overrides the two-round known-variance level size, k1
     the level size everywhere else, k2 the one-round refinement subgroups.
-    Unset sizes fall back to ceil(c_k * ln(8 max(n,2)/beta) / eps^2), or to
-    the much larger proof-grade constant when proof_constants is set.
+    Unset sizes fall back to ceil(8 ln(8 max(n,2)/beta) / eps^2), or to the
+    much larger proof-grade constant when proof_constants is set.
     """
 
     eps: float
@@ -132,7 +137,6 @@ class ProtocolConfig:
     k: Optional[int] = None
     k1: Optional[int] = None
     k2: Optional[int] = None
-    c_k: float = 8.0
     proof_constants: bool = False
 
     def __post_init__(self):
@@ -152,7 +156,22 @@ class ProtocolConfig:
                 4.0 * n_eff / self.beta
             )
             return int(math.ceil(max(a, b)))
-        return int(math.ceil(self.c_k * math.log(8.0 * n_eff / self.beta) / self.eps ** 2))
+        return int(math.ceil(_LEVEL_SIZE_C * math.log(8.0 * n_eff / self.beta) / self.eps ** 2))
+
+
+class Block(NamedTuple):
+    """One item of a plan's block table: users start .. start + count - 1
+    each send one `kind` report of subgroup `tag` in `round`. `reach` bounds
+    a real report's magnitude; `key` is a level block's level or a refinement
+    subgroup's group key. Kind "broadcast" is the broadcast opening `round`."""
+
+    round: int
+    tag: str
+    kind: str
+    start: int = 0
+    count: int = 0
+    reach: float = math.inf
+    key: object = None
 
 
 @dataclass(frozen=True)
@@ -171,6 +190,8 @@ class PartitionPlan:
     sigma: Optional[float] = None  # known-variance modes only
     # one-round subgroup keys in block order: ints (kv1) or (level, m) pairs
     group_keys: tuple = ()
+    # every transcript item a run emits, in order; built by plan_partition
+    blocks: Tuple[Block, ...] = ()
 
     @property
     def levels(self) -> range:
@@ -181,34 +202,9 @@ class PartitionPlan:
         return 2 if self.protocol in ("kv2", "uv2") else 1
 
     @property
-    def refine_kind(self) -> str:
-        """Kind of the reports that refine the rough mean."""
-        return "sign" if self.protocol in ("kv2", "kv1") else "real"
-
-    @property
-    def u1_discarded(self) -> int:
-        return self.u2_start - self.level_plan.count * self.k1
-
-    @property
-    def u2_discarded(self) -> int:
-        if not self.group_keys:
-            return 0
-        return (self.n - self.u2_start) - len(self.group_keys) * self.k2
-
-    @property
     def discarded(self) -> int:
-        return self.u1_discarded + self.u2_discarded
-
-    def u1_level_indices(self, level_index: int) -> np.ndarray:
-        start = level_index * self.k1
-        return np.arange(start, start + self.k1)
-
-    def u2_indices(self) -> np.ndarray:
-        return np.arange(self.u2_start, self.n)
-
-    def u2_group_indices(self, group_index: int) -> np.ndarray:
-        start = self.u2_start + group_index * self.k2
-        return np.arange(start, start + self.k2)
+        """Users in no block, who are never queried."""
+        return self.n - sum(block.count for block in self.blocks)
 
     def kv1_lattice(self, m: int) -> LatticeSpec:
         return LatticeSpec(offset=0.2 * self.sigma * m, spacing=self.rho * self.sigma)
@@ -223,23 +219,6 @@ class PartitionPlan:
     def subgroup_tag(self, key) -> str:
         """Transcript tag of a one-round refinement subgroup."""
         return f"offset:{key}" if self.protocol == "kv1" else f"lattice:{key[0]}:{key[1]}"
-
-    def subgroups(self) -> Dict[str, tuple]:
-        """Every subgroup a run emits, in emission order: tag -> (round,
-        kind, message count, bound on the magnitude of a real report)."""
-        out = {f"level:{j}": (1, "quad", self.k1, math.inf) for j in self.levels}
-        kind = self.refine_kind
-        if self.rounds == 2:
-            out["refine"] = (2, kind, self.n - self.u2_start, math.inf)
-        for key in self.group_keys:
-            reach = math.inf
-            if self.protocol == "uv1":
-                # a residual within spacing / 2 (spacing allows for rounding),
-                # plus Laplace noise
-                noise = self.uv1_noise_numerator(key[0]) / self.eps
-                reach = self.rho * 2.0 ** key[0] + _LAPLACE_REACH * noise
-            out[self.subgroup_tag(key)] = (1, kind, self.k2, reach)
-        return out
 
     def summary(self) -> dict:
         out = {
@@ -315,6 +294,7 @@ def plan_partition(config: ProtocolConfig, protocol: str) -> PartitionPlan:
         sigma = _known_sigma(config)
         l_min = math.floor(math.log2(sigma))
     else:
+        sigma = None
         sigma_min, sigma_max = _sigma_bounds(config)
         l_min = math.floor(math.log2(sigma_min))
     l_max = l_min + level_count - 1
@@ -332,34 +312,54 @@ def plan_partition(config: ProtocolConfig, protocol: str) -> PartitionPlan:
         )
     level_plan = LevelPlan(l_min=l_min, l_max=l_max, k=k1, beta=beta, eps=eps)
 
-    if protocol in ("kv2", "uv2"):
-        return PartitionPlan(
-            protocol=protocol, n=n, eps=eps, beta=beta, k1=k1, level_plan=level_plan,
-            u2_start=half, sigma=sigma if protocol == "kv2" else None,
-        )
-
+    k2 = rho = None
+    group_keys = ()
     if protocol == "kv1":
         rho = math.ceil(2.0 * math.sqrt(math.log(4.0 * n)))
         group_keys = tuple(range(1, 5 * rho + 1))
-    else:
+    elif protocol == "uv1":
         rho = math.ceil(math.sqrt(math.log(4.0 * n)) + 6.0)
         group_keys = tuple((j, m) for j in level_plan.levels for m in range(1, rho + 1))
-    k2 = config.k2 if config.k2 is not None else half // len(group_keys)
-    if k2 < 1:
-        raise ConfigError(
-            f"n = {n} cannot fill {len(group_keys)} refinement subgroups; raise n"
-        )
-    if len(group_keys) * k2 > half:
-        raise ConfigError(
-            f"k2 = {k2} over {len(group_keys)} subgroups exceeds the {half} "
-            f"second-half users"
-        )
-    return PartitionPlan(
+    if group_keys:
+        k2 = config.k2 if config.k2 is not None else half // len(group_keys)
+        if k2 < 1:
+            raise ConfigError(
+                f"n = {n} cannot fill {len(group_keys)} refinement subgroups; raise n"
+            )
+        if len(group_keys) * k2 > half:
+            raise ConfigError(
+                f"k2 = {k2} over {len(group_keys)} subgroups exceeds the {half} "
+                f"second-half users"
+            )
+    plan = PartitionPlan(
         protocol=protocol, n=n, eps=eps, beta=beta, k1=k1, level_plan=level_plan,
-        u2_start=half, k2=k2, rho=rho,
-        sigma=_known_sigma(config) if protocol == "kv1" else None,
-        group_keys=group_keys,
+        u2_start=half, k2=k2, rho=rho, sigma=sigma, group_keys=group_keys,
     )
+    return replace(plan, blocks=_block_table(plan))
+
+
+def _block_table(plan: PartitionPlan) -> Tuple[Block, ...]:
+    """Every transcript item a run of `plan` emits, in order: the level
+    blocks, then either the broadcast and the second half's round-two
+    reports, or the one-round refinement subgroups."""
+    kind = "sign" if plan.protocol in ("kv2", "kv1") else "real"
+    blocks = [
+        Block(1, f"level:{j}", "quad", i * plan.k1, plan.k1, key=j)
+        for i, j in enumerate(plan.levels)
+    ]
+    if plan.rounds == 2:
+        blocks.append(Block(2, "broadcast", "broadcast"))
+        blocks.append(Block(2, "refine", kind, plan.u2_start, plan.n - plan.u2_start))
+    for i, key in enumerate(plan.group_keys):
+        reach = math.inf
+        if plan.protocol == "uv1":
+            # a residual within spacing / 2 (spacing allows for rounding),
+            # plus Laplace noise
+            noise = plan.uv1_noise_numerator(key[0]) / plan.eps
+            reach = plan.rho * 2.0 ** key[0] + _LAPLACE_REACH * noise
+        start = plan.u2_start + i * plan.k2
+        blocks.append(Block(1, plan.subgroup_tag(key), kind, start, plan.k2, reach, key))
+    return tuple(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -408,25 +408,24 @@ class Transcript:
         return [(item[1], item[2]) for item in self._items if item[0] == "broadcast"]
 
     def messages_by_subgroup(self) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-        """Per-subgroup (users, values) in emission order. A subgroup sent as
-        one block comes back as that block's arrays, not a copy."""
+        """Per-subgroup (users, values) in emission order."""
         grouped: Dict[str, List[tuple]] = {}
         for item in self._items:
             if item[0] == "messages":
                 grouped.setdefault(item[2], []).append(item[4:])
-        return {
-            tag: blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
-            for tag, blocks in grouped.items()
-        }
+        return {tag: tuple(map(np.concatenate, zip(*blocks))) for tag, blocks in grouped.items()}
 
     def validate(self, max_rounds: int) -> None:
-        """Sequential interactivity and round-count invariants."""
+        """Sequential interactivity and round-count invariants, in O(n)."""
         ids = self.user_ids()
-        if ids.size != np.unique(ids).size:
-            raise MalformedInputError("a user sent more than one message")
-        if ids.size and (ids.min() < 0 or ids.max() >= self.n):
-            raise MalformedInputError("user index outside the population")
-        if any(r < 1 or r > max_rounds for r in self.rounds):
+        if ids.size:
+            if ids.dtype.kind not in "iu":
+                raise MalformedInputError(f"user indices must be integers, got {ids.dtype}")
+            if ids.min() < 0 or ids.max() >= self.n:
+                raise MalformedInputError("user index outside the population")
+            if np.bincount(ids.astype(np.int64, copy=False), minlength=self.n).max() > 1:
+                raise MalformedInputError("a user sent more than one message")
+        if not self.rounds <= set(range(1, max_rounds + 1)):
             raise MalformedInputError(f"round index outside 1..{max_rounds}")
 
     def iter_lines(self):
@@ -510,7 +509,6 @@ class Transcript:
 # transcript. Live runs call it on the transcript their users write, and
 # replay calls it on a recorded one.
 
-_NO_MESSAGES = (np.empty(0, dtype=np.int64), np.empty(0))
 _DTYPE_KINDS = {"quad": "i", "sign": "i", "real": "f"}
 
 
@@ -531,44 +529,40 @@ def _reportable(kind: str, blocks: List[np.ndarray], reach: List[float]) -> bool
 def _gate(plan: PartitionPlan, transcript: Transcript, round_no: int) -> Dict[str, np.ndarray]:
     """One round's reports, checked against the plan: tag -> values.
 
-    Raises MalformedInputError unless every message block belongs to a
-    planned subgroup, in its planned round and kind, with integer user
-    indices; every subgroup of this round is present with its planned
-    message count; and every value is one its randomizer can report: quad
-    values in {0,1,2,3}, sign values in {-1,+1}, real values finite (and
-    within the randomizer's reach in uv1). At the last round it also
-    requires the planned broadcasts, each between the rounds it separates,
-    and runs `Transcript.validate`.
+    Raises MalformedInputError unless the transcript's items through this
+    round equal the plan's block table, block for block, and at the last
+    round no item follows: each broadcast sits where the table puts it, and
+    each message block has its planned round, tag and kind, with user
+    indices an integer array equal to its planned range. Planned ranges are
+    disjoint and lie in [0, n), so no user reports twice, outside their own
+    subgroup, or at all if discarded. Every value of this round must also be
+    one its randomizer can report: quad values in {0,1,2,3}, sign values in
+    {-1,+1}, real values finite (and within the randomizer's reach in uv1).
     """
-    subgroups = plan.subgroups()
-    for item in transcript._items:
-        if item[0] == "messages" and (
-            subgroups.get(item[2], ())[:2] != (item[1], item[3]) or item[4].dtype.kind != "i"
-        ):
-            raise MalformedInputError(
-                f"block {item[2]!r} ({item[3]!r} in round {item[1]!r}, "
-                f"{item[4].dtype} user indices) is not in the plan"
+    planned = [block for block in plan.blocks if block.round <= round_no]
+    items = transcript._items
+    if len(items) < len(planned) or (round_no == plan.rounds and len(items) > len(planned)):
+        raise MalformedInputError(
+            f"transcript holds {len(items)} blocks, expected {len(planned)} through round {round_no}"
+        )
+    reports, by_kind = {}, {}
+    for index, (block, item) in enumerate(zip(planned, items)):
+        if block.kind == "broadcast":
+            match = item[:2] == ("broadcast", block.round)
+        else:
+            match = (
+                item[:4] == ("messages", block.round, block.tag, block.kind)
+                and item[4].dtype.kind == "i"
+                and np.array_equal(item[4], np.arange(block.start, block.start + block.count))
             )
-    planned = {tag: spec[1:] for tag, spec in subgroups.items() if spec[0] == round_no}
-    groups = transcript.messages_by_subgroup()
-    reports = {}
-    for tag, (_, count, _) in planned.items():
-        users, reports[tag] = groups.get(tag, _NO_MESSAGES)
-        if users.size != count:
-            raise MalformedInputError(f"{tag} carries {users.size} messages, expected {count}")
-    for kind in {spec[0] for spec in planned.values()}:
-        tags = [tag for tag, spec in planned.items() if spec[0] == kind]
-        if not _reportable(kind, [reports[tag] for tag in tags], [planned[tag][2] for tag in tags]):
+        if not match:
+            raise MalformedInputError(f"transcript block {index} is not the planned {block}")
+        if block.round == round_no and block.kind != "broadcast":
+            reports[block.tag] = item[5]
+            by_kind.setdefault(block.kind, []).append(block)
+    for kind, blocks in by_kind.items():
+        if not _reportable(kind, [reports[b.tag] for b in blocks], [b.reach for b in blocks]):
             raise MalformedInputError(f"round {round_no} holds a {kind} value no randomizer reports")
-    if round_no == plan.rounds:
-        sent, expected = [r for r, _ in transcript.broadcasts()], list(range(2, plan.rounds + 1))
-        if sent != expected:
-            raise MalformedInputError(f"broadcasts for rounds {sent}, expected {expected}")
-        # Messages of round r come after the broadcast opening round r.
-        stages = [2 * item[1] - (item[0] == "broadcast") for item in transcript._items]
-        if stages != sorted(stages):
-            raise MalformedInputError("a broadcast is out of place between the rounds")
-        transcript.validate(max_rounds=plan.rounds)
     return reports
 
 
@@ -646,42 +640,41 @@ def _run(protocol: str, config: ProtocolConfig, samples, streams: TrialStreams):
     if samples.shape != (config.n,):
         raise ConfigError(f"expected {config.n} samples, got shape {samples.shape}")
     transcript = Transcript(protocol, config.n)
-    # Round one: quad randomized response over the level blocks of U1, then
-    # every one-round refinement subgroup's reports.
-    for level_index, j in enumerate(plan.levels):
-        idx = plan.u1_level_indices(level_index)
-        draws = streams.matrix(idx, first=2, count=2)
-        values = rr1_values(plan.eps, samples[idx], j, draws[:, 0], draws[:, 1])
-        transcript.add_messages(1, f"level:{j}", "quad", idx, values)
-    for group_index, key in enumerate(plan.group_keys):
-        idx = plan.u2_group_indices(group_index)
-        u = streams.matrix(idx, first=2, count=1)[:, 0]
-        if plan.protocol == "kv1":
-            centers = plan.kv1_lattice(key).nearest_points(samples[idx])
-            true_signs = sign_with_positive_zero((samples[idx] - centers) / plan.sigma)
-            values = sign_rr_values(plan.eps, true_signs, u)
-        else:
-            level, m = key
-            values = one_round_uv_rr2_values(
-                plan.eps, samples[idx], plan.uv1_lattice(level, m),
-                plan.uv1_noise_numerator(level), u,
-            )
-        transcript.add_messages(1, plan.subgroup_tag(key), plan.refine_kind, idx, values)
 
-    def respond(broadcast: dict) -> None:
-        """Round two: record the broadcast, and every U2 user answers it."""
-        transcript.add_broadcast(2, broadcast)
-        idx = plan.u2_indices()
-        u = streams.matrix(idx, first=2, count=1)[:, 0]
-        if plan.protocol == "kv2":
-            true_signs = sign_with_positive_zero((samples[idx] - broadcast["mu_hat1"]) / plan.sigma)
-            values = sign_rr_values(plan.eps, true_signs, u)
-        else:
-            lo, hi = broadcast["interval_lo"], broadcast["interval_hi"]
-            values = uv_rr2_values(plan.eps, samples[idx], lo, hi, u)
-        transcript.add_messages(2, "refine", plan.refine_kind, idx, values)
+    def emit(round_no: int, broadcast: Optional[dict] = None) -> None:
+        """One round, in table order: the broadcast that opens it, then each
+        message block's users privatize their samples."""
+        for block in plan.blocks:
+            if block.round != round_no:
+                continue
+            if block.kind == "broadcast":
+                transcript.add_broadcast(round_no, broadcast)
+                continue
+            idx = np.arange(block.start, block.start + block.count)
+            x = samples[idx]
+            draws = streams.matrix(idx, first=2, count=2 if block.kind == "quad" else 1)
+            if block.kind == "quad":
+                values = rr1_values(plan.eps, x, block.key, draws[:, 0], draws[:, 1])
+            elif block.kind == "sign":
+                if block.key is None:  # kv2's round two, centered on the broadcast
+                    centers = broadcast["mu_hat1"]
+                else:
+                    centers = plan.kv1_lattice(block.key).nearest_points(x)
+                true_signs = sign_with_positive_zero((x - centers) / plan.sigma)
+                values = sign_rr_values(plan.eps, true_signs, draws[:, 0])
+            elif block.key is None:  # uv2's round two, clamped to the broadcast
+                lo, hi = broadcast["interval_lo"], broadcast["interval_hi"]
+                values = uv_rr2_values(plan.eps, x, lo, hi, draws[:, 0])
+            else:
+                level, m = block.key
+                values = one_round_uv_rr2_values(
+                    plan.eps, x, plan.uv1_lattice(level, m), plan.uv1_noise_numerator(level),
+                    draws[:, 0],
+                )
+            transcript.add_messages(round_no, block.tag, block.kind, idx, values)
 
-    outcome = _analyze(plan, transcript, respond)
+    emit(1)
+    outcome = _analyze(plan, transcript, lambda broadcast: emit(2, broadcast))
     transcript.set_outcome(outcome)
     return outcome, transcript
 

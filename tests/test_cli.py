@@ -76,6 +76,18 @@ class TestSimulate:
         lines = (tmp_path / "results.csv").read_text().splitlines()
         assert len(lines) == 1 + 4  # the flag overrides the file's trials=2
 
+    def test_config_file_key_naming_no_option_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"levles": 8}))
+        assert cli.main(simulate_args(tmp_path) + ["--config", str(path)]) == 2
+        assert "levles" in capsys.readouterr().err
+
+    def test_zero_levels_exits_2(self, tmp_path, capsys):
+        args = simulate_args(tmp_path)
+        args[args.index("--k"):args.index("--k") + 2] = ["--levels", "0"]
+        assert cli.main(args) == 2
+        assert "levels must be" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_two_point_slope(self, tmp_path, capsys):
@@ -167,6 +179,18 @@ class TestReplay:
         mutated.write_text("\n".join(lines) + "\n")
         assert cli.main(self.replay_args(tmp_path, mutated)) == 2
         assert "malformed input" in capsys.readouterr().err
+
+    def test_levels_with_k_exits_2(self, tmp_path, capsys):
+        transcript = self.run_with_transcript(tmp_path)
+        assert cli.main(self.replay_args(tmp_path, transcript) + ["--levels", "8"]) == 2
+        assert "conflicts" in capsys.readouterr().err
+
+    def test_zero_levels_exits_2(self, tmp_path, capsys):
+        transcript = self.run_with_transcript(tmp_path)
+        args = self.replay_args(tmp_path, transcript)
+        del args[args.index("--k"):args.index("--k") + 2]
+        assert cli.main(args + ["--levels", "0"]) == 2
+        assert "levels must be" in capsys.readouterr().err
 
     def test_truncated_transcript_exits_2(self, tmp_path):
         transcript = self.run_with_transcript(tmp_path)

@@ -66,13 +66,9 @@ class TestPlanPartition:
             except ConfigError:
                 continue
             seen = np.zeros(n, dtype=int)
-            for li in range(plan.level_plan.count):
-                seen[plan.u1_level_indices(li)] += 1
-            if plan.group_keys:
-                for gi in range(len(plan.group_keys)):
-                    seen[plan.u2_group_indices(gi)] += 1
-            else:
-                seen[plan.u2_indices()] += 1
+            for block in plan.blocks:
+                assert block.start >= 0
+                seen[np.arange(block.start, block.start + block.count)] += 1
             assert seen.max() <= 1
             assert (seen == 0).sum() == plan.discarded
 
@@ -327,6 +323,11 @@ class TestTranscriptAndReplay:
         ("kv2", dict(k=512), "outcome without mu_hat2"),
         ("kv2", dict(k=512), "broadcast not an object"),
         ("kv1", dict(k1=512), "unplanned subgroup"),
+        ("kv2", dict(k=512), "users swapped between two level blocks"),
+        ("kv2", dict(k=512), "level user swapped with a refine user"),
+        ("kv1", dict(k1=512), "level user replaced by a discarded user"),
+        ("uv1", dict(k1=2048, sigma=3.0), "users swapped between two level blocks"),
+        ("kv2", dict(k=512), "two lines swapped inside one block"),
     ])
     def test_transcript_no_run_could_produce_rejected(self, protocol, kwargs, edit):
         config = make_config(protocol, **kwargs)
@@ -337,6 +338,19 @@ class TestTranscriptAndReplay:
         def set_first(kind, value):
             next(obj for obj in lines if obj.get("kind") == kind)["value"] = value
             return lines
+
+        def first_of(tag):
+            return next(obj for obj in lines if obj.get("subgroup") == tag)
+
+        def swap_users(a, b):
+            a["user"], b["user"] = b["user"], a["user"]
+            return lines
+
+        def swap_lines(i, j):
+            lines[i], lines[j] = lines[j], lines[i]
+            return lines
+
+        levels = [f"level:{j}" for j in plan.levels]
 
         if protocol == "uv1":
             selected = outcome.plan_summary["selected"]
@@ -369,6 +383,14 @@ class TestTranscriptAndReplay:
                 "round": 1, "subgroup": "offset:0", "kind": "sign", "value": 1,
                 "user": int(np.setdiff1d(np.arange(config.n), transcript.user_ids())[0]),
             }] + lines[-1:],
+            "users swapped between two level blocks": lambda: swap_users(
+                first_of(levels[0]), first_of(levels[-1])),
+            "level user swapped with a refine user": lambda: swap_users(
+                first_of(levels[1]), first_of("refine")),
+            "level user replaced by a discarded user": lambda: [dict(
+                lines[0], user=int(np.setdiff1d(np.arange(config.n), transcript.user_ids())[-1]),
+            )] + lines[1:],
+            "two lines swapped inside one block": lambda: swap_lines(1, 2),
         }
         text = "\n".join(json.dumps(obj, separators=(",", ":")) for obj in edits[edit]())
         assert text != transcript.dumps().rstrip("\n")
@@ -400,6 +422,13 @@ class TestTranscriptAndReplay:
     def test_duplicate_user_rejected(self):
         t = Transcript("kv2", 10)
         t.add_messages(1, "level:0", "quad", np.array([1, 1]), np.array([0, 1]))
+        with pytest.raises(MalformedInputError):
+            t.validate(max_rounds=2)
+
+    @pytest.mark.parametrize("users", [[-1, 0], [0, 10], [0.0, 1.0]])
+    def test_bad_user_index_rejected(self, users):
+        t = Transcript("kv2", 10)
+        t.add_messages(1, "level:0", "quad", np.array(users), np.array([0, 1]))
         with pytest.raises(MalformedInputError):
             t.validate(max_rounds=2)
 
