@@ -144,6 +144,10 @@ def _variance_args(merged: dict):
     return (merged["sigma_min"], merged["sigma_max"])
 
 
+def _beta(merged: dict) -> float:
+    return 0.05 if merged.get("beta") is None else float(merged["beta"])
+
+
 def _spec_from(merged: dict, n_values, eps_values, mu_values, sigma_values) -> ExperimentSpec:
     return ExperimentSpec(
         protocol=merged["protocol"],
@@ -151,8 +155,8 @@ def _spec_from(merged: dict, n_values, eps_values, mu_values, sigma_values) -> E
         eps_values=tuple(eps_values),
         mu_values=tuple(mu_values),
         sigma_values=tuple(sigma_values),
-        trials=int(merged.get("trials") or 1),
-        beta=float(merged.get("beta") or 0.05),
+        trials=int(merged["trials"]),
+        beta=_beta(merged),
         master_seed=int(merged.get("seed") or 0),
         sigma_bounds=_variance_args(merged),
         k=merged.get("k"),
@@ -273,7 +277,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         _require(merged, "sigma_min", "sigma_max")
         mode = BoundedSigma(merged["sigma_min"], merged["sigma_max"])
     config = ProtocolConfig(
-        eps=merged["eps"], beta=float(merged.get("beta") or 0.05), n=merged["n"],
+        eps=merged["eps"], beta=_beta(merged), n=merged["n"],
         variance_mode=mode, truth=None, k=merged.get("k"), k2=merged.get("k2"),
         k1=k1_for_levels(merged["n"], merged.get("levels"), merged.get("k"), merged.get("k1")),
         proof_constants=bool(merged.get("proof_constants")),

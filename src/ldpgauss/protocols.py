@@ -20,8 +20,10 @@ requires a transcript to equal it block for block.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -277,10 +279,8 @@ def plan_partition(config: ProtocolConfig, protocol: str) -> PartitionPlan:
     n, eps, beta = config.n, config.eps, config.beta
     half = n // 2
 
-    if protocol == "kv2":
-        k1 = config.k or config.k1 or config.default_level_size()
-    else:
-        k1 = config.k1 or config.k or config.default_level_size()
+    sizes = (config.k, config.k1) if protocol == "kv2" else (config.k1, config.k)
+    k1 = next((size for size in sizes if size is not None), config.default_level_size())
     if k1 < 1:
         raise ConfigError(f"level subgroup size must be positive, got {k1}")
     level_count = half // k1
@@ -365,12 +365,88 @@ def _block_table(plan: PartitionPlan) -> Tuple[Block, ...]:
 # ---------------------------------------------------------------------------
 # Transcript
 
+# Message lines are written and read as blocks: a block's lines share one
+# head, '{"round":R,"user":', and one middle,
+# ',"subgroup":"...","kind":"...","value":'. Integers are spelled by str and
+# floats by repr, as json.dumps spells them.
+_INT_KINDS = ("quad", "sign")
+_SLICE = 1 << 16  # message lines formatted at once
+_WINDOW = 1 << 22  # characters of message lines parsed at once
+# Integers of at most 15 digits, so that they parse exactly as floats too.
+_INT = r"(?:0|-?[1-9][0-9]{0,14})"
+_STRING = r'"(?:[^"\\\n]|\\.)*"'
+_MESSAGE_HEAD = re.compile(
+    rf'(\{{"round":({_INT}),"user":){_INT}(,"subgroup":({_STRING}),"kind":({_STRING}),"value":)'
+)
+
+
+def _json_line(obj: dict) -> str:
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def _spell_ints(array: np.ndarray) -> List[str]:
+    values = array.tolist()
+    return list(map(str, values if array.dtype.kind in "iu" else map(int, values)))
+
+
+def _spell_floats(array: np.ndarray) -> List[str]:
+    array = array.astype(np.float64, copy=False)
+    spelled = list(map(repr, array.tolist()))
+    for i in np.flatnonzero(~np.isfinite(array)).tolist():
+        spelled[i] = json.dumps(float(array[i]))  # NaN, Infinity, -Infinity
+    return spelled
+
+
+def _malformed(text: str, pos: int, why: str) -> MalformedInputError:
+    return MalformedInputError(f"line {text.count(chr(10), 0, pos) + 1}: {why}")
+
+
+@functools.lru_cache(maxsize=4096)
+def _run_pattern(head: str, middle: str, integral: bool) -> "re.Pattern":
+    """Consecutive message lines with this head and middle. A real value
+    only has its characters checked here; _read_run checks its spelling."""
+    value = _INT if integral else "[-+.0-9eINafinty]+"
+    return re.compile(f"(?:{re.escape(head)}{_INT}{re.escape(middle)}{value}}}(?:\n|\\Z))*")
+
+
+def _read_run(text: str, pos: int, cut: int):
+    """The message lines from `pos` that share the first one's round,
+    subgroup and kind, up to `cut`: ((round, subgroup, kind), users, values,
+    end), or None when the line at `pos` is not a message line as written."""
+    first = _MESSAGE_HEAD.match(text, pos, cut)
+    if first is None:
+        return None
+    head, middle = first[1], first[3]
+    subgroup, kind = json.loads(first[4]), json.loads(first[5])
+    if json.dumps(subgroup) != first[4] or json.dumps(kind) != first[5]:
+        return None
+    integral = kind in _INT_KINDS
+    end = _run_pattern(head, middle, integral).match(text, pos, cut).end()
+    if end == pos:
+        return None
+    # "u M v}\nH u M v}\nH ... u M v" -> "u M v M u M v ... u M v"
+    body = text[pos + len(head):end - (text[end - 1] == "\n") - 1].replace("}\n" + head, middle)
+    misspelled = "a value at or below this line is not spelled as written"
+    try:
+        numbers = np.fromstring(body, dtype=np.int64 if integral else np.float64, sep=middle)
+    except ValueError:
+        raise _malformed(text, pos, misspelled) from None
+    users, values = numbers[0::2].astype(np.int64), numbers[1::2]
+    if not integral:  # the pattern only checked the characters of the values
+        spelled = [None] * numbers.size
+        spelled[0::2], spelled[1::2] = _spell_ints(users), _spell_floats(values)
+        if middle.join(spelled) != body:
+            raise _malformed(text, pos, misspelled)
+    return (int(first[2]), subgroup, kind), users, values, end
+
+
 class Transcript:
     """Ordered record of every privatized message and analyst broadcast.
 
-    Messages are stored columnar per emission block; iteration and
-    serialization flatten them in causal order. Floats serialize with
-    shortest-roundtrip formatting, so files are byte-stable.
+    Messages are stored columnar per emission block and serialize as one
+    JSON line per message, in causal order, formatted a block at a time.
+    Floats serialize with shortest-roundtrip formatting, so files are
+    byte-stable.
     """
 
     def __init__(self, protocol: str, n: int):
@@ -428,50 +504,74 @@ class Transcript:
         if not self.rounds <= set(range(1, max_rounds + 1)):
             raise MalformedInputError(f"round index outside 1..{max_rounds}")
 
-    def iter_lines(self):
+    def _pieces(self):
+        """The serialized text in pieces: one line per broadcast and for the
+        outcome, and each message block _SLICE lines at a time, formatted
+        from the block's template."""
         for item in self._items:
             if item[0] == "broadcast":
-                yield {"round": item[1], "broadcast": item[2]}
-            else:
-                _, round_no, subgroup, kind, users, values = item
-                cast = int if kind in ("quad", "sign") else float
-                for u, v in zip(users.tolist(), values.tolist()):
-                    yield {
-                        "round": round_no,
-                        "user": int(u),
-                        "subgroup": subgroup,
-                        "kind": kind,
-                        "value": cast(v),
-                    }
+                yield _json_line({"round": item[1], "broadcast": item[2]})
+                continue
+            _, round_no, subgroup, kind, users, values = item
+            head = '{"round":' + json.dumps(round_no) + ',"user":'
+            middle = f',"subgroup":{json.dumps(subgroup)},"kind":{json.dumps(kind)},"value":'
+            spell = _spell_ints if kind in _INT_KINDS else _spell_floats
+            for lo in range(0, users.shape[0], _SLICE):
+                part = slice(lo, lo + _SLICE)
+                lines = [head, None, middle, None, "}\n"] * users[part].shape[0]
+                lines[1::5] = _spell_ints(users[part])
+                lines[3::5] = spell(values[part])
+                yield "".join(lines)
         if self.outcome is not None:
-            yield {"outcome": self.outcome.as_dict()}
+            yield _json_line({"outcome": self.outcome.as_dict()})
 
     def dumps(self) -> str:
-        return "".join(json.dumps(line, separators=(",", ":")) + "\n" for line in self.iter_lines())
+        return "".join(self._pieces())
 
     def dump(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for line in self.iter_lines():
-                fh.write(json.dumps(line, separators=(",", ":")) + "\n")
+            fh.writelines(self._pieces())
 
     @classmethod
     def loads(cls, text: str, protocol: str, n: int) -> "Transcript":
+        """Parse what `dumps` writes. Message lines must be spelled exactly as
+        it spells them, and are read a run of consecutive lines sharing
+        round, subgroup and kind at a time; broadcast and outcome lines are
+        read as JSON. Raises MalformedInputError for anything else."""
         transcript = cls(protocol, n)
-        pending: Optional[tuple] = None  # (round, subgroup, kind, users, values)
+        pending: Optional[list] = None  # [round, subgroup, kind, user arrays, value arrays]
 
         def flush() -> None:
             if pending is not None:
-                transcript.add_messages(*pending[:3], np.array(pending[3]), np.array(pending[4]))
+                transcript.add_messages(*pending[:3], *map(np.concatenate, pending[3:]))
 
-        for line_no, raw in enumerate(text.splitlines(), start=1):
+        pos = 0
+        while pos < len(text):
+            cut = text.find("\n", pos + _WINDOW) + 1 or len(text)
+            run = _read_run(text, pos, cut)
+            if run is not None:
+                key, users, values, pos = run
+                if pending is not None and tuple(pending[:3]) == key:
+                    pending[3].append(users)
+                    pending[4].append(values)
+                else:
+                    flush()
+                    pending = [*key, [users], [values]]
+                continue
+            end = text.find("\n", pos)
+            end = len(text) if end < 0 else end
+            line_pos, pos = pos, end + 1
+            raw = text[line_pos:end]
             if not raw.strip():
                 continue
+            flush()
+            pending = None
             try:
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
-                raise MalformedInputError(f"line {line_no}: not valid JSON ({exc})") from exc
+                raise _malformed(text, line_pos, f"not valid JSON ({exc})") from exc
             if not isinstance(obj, dict):
-                raise MalformedInputError(f"line {line_no}: not a JSON object")
+                raise _malformed(text, line_pos, "not a JSON object")
             try:
                 if "outcome" in obj:
                     o = obj["outcome"]
@@ -481,20 +581,13 @@ class Transcript:
                     ))
                     continue
                 if "broadcast" in obj:
-                    flush()
-                    pending = None
+                    if type(obj["round"]) is not int:
+                        raise _malformed(text, line_pos, f"round {obj['round']!r} not an integer")
                     transcript.add_broadcast(obj["round"], obj["broadcast"])
                     continue
-                key = (obj["round"], obj["subgroup"], obj["kind"])
-                user, value = obj["user"], obj["value"]
             except (KeyError, TypeError) as exc:
-                raise MalformedInputError(f"line {line_no}: bad or missing field {exc}") from exc
-            if pending is not None and pending[:3] == key:
-                pending[3].append(user)
-                pending[4].append(value)
-            else:
-                flush()
-                pending = (*key, [user], [value])
+                raise _malformed(text, line_pos, f"bad or missing field {exc}") from exc
+            raise _malformed(text, line_pos, "not a broadcast, an outcome or a message as written")
         flush()
         return transcript
 

@@ -4,13 +4,18 @@ The oracles compute by a different route than the code under test: Gaussian
 cell masses come straight from the CDF, nearest points and subgroup winners
 from bounded brute-force scans.
 
-The scalar operations at the bottom handle one user at a time, drawing from
-that user's RandomStream in a fixed order, and aggregate lists of per-user
-reports. The library privatizes users only through its vectorized kernels;
-these compose the same kernels user by user, so the tests can check the
-engine's block draws and counts report by report.
+The scalar operations handle one user at a time, drawing from that user's
+RandomStream in a fixed order, and aggregate lists of per-user reports. The
+library privatizes users only through its vectorized kernels; these compose
+the same kernels user by user, so the tests can check the engine's block
+draws and counts report by report.
+
+The transcript writer at the bottom serializes one JSON object per line
+with json.dumps; the library formats whole message blocks from templates
+and must write the same bytes.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
@@ -310,3 +315,31 @@ def kv_agg2(eps: float, k: int, reports: Iterable[SignReport]) -> SignHistogram:
         raise MalformedInputError(f"got {len(values)} sign reports, expected exactly {k}")
     counts = sign_counts_from_values(np.array(values, dtype=np.int64))
     return SignHistogram(bins=debias_sign_counts(eps, k, counts), k=k)
+
+
+# ---------------------------------------------------------------------------
+# Reference transcript writer: one json.dumps call per line.
+
+def iter_lines(transcript):
+    for item in transcript._items:
+        if item[0] == "broadcast":
+            yield {"round": item[1], "broadcast": item[2]}
+        else:
+            _, round_no, subgroup, kind, users, values = item
+            cast = int if kind in ("quad", "sign") else float
+            for u, v in zip(users.tolist(), values.tolist()):
+                yield {
+                    "round": round_no,
+                    "user": int(u),
+                    "subgroup": subgroup,
+                    "kind": kind,
+                    "value": cast(v),
+                }
+    if transcript.outcome is not None:
+        yield {"outcome": transcript.outcome.as_dict()}
+
+
+def reference_dumps(transcript) -> str:
+    return "".join(
+        json.dumps(line, separators=(",", ":")) + "\n" for line in iter_lines(transcript)
+    )

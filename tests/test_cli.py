@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ldpgauss import cli
 
 
@@ -87,6 +89,17 @@ class TestSimulate:
         args[args.index("--k"):args.index("--k") + 2] = ["--levels", "0"]
         assert cli.main(args) == 2
         assert "levels must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--k", "--k1", "--beta", "--trials"])
+    def test_zero_is_a_value_not_unset(self, tmp_path, capsys, flag):
+        # 0 is out of range for each of these; it must not mean "use the default"
+        args = simulate_args(tmp_path)
+        if flag == "--k1":
+            args[args.index("--k")] = flag
+        args[args.index(flag) + 1] = "0"
+        assert cli.main(args) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
 
 
 class TestSweep:
@@ -191,6 +204,13 @@ class TestReplay:
         del args[args.index("--k"):args.index("--k") + 2]
         assert cli.main(args + ["--levels", "0"]) == 2
         assert "levels must be" in capsys.readouterr().err
+
+    def test_zero_beta_exits_2(self, tmp_path, capsys):
+        transcript = self.run_with_transcript(tmp_path)
+        args = self.replay_args(tmp_path, transcript)
+        args[args.index("--beta") + 1] = "0"
+        assert cli.main(args) == 2
+        assert "beta must be" in capsys.readouterr().err
 
     def test_truncated_transcript_exits_2(self, tmp_path):
         transcript = self.run_with_transcript(tmp_path)

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from ldpgauss import protocols
 from ldpgauss.aggregation import MalformedInputError
 from ldpgauss.harness import sample_population
 from ldpgauss.numerics import TrialStreams, erf_inv
 from ldpgauss.protocols import (
     BoundedSigma,
     ConfigError,
+    EstimateOutcome,
     KnownSigma,
     ProtocolConfig,
     ReplayMismatch,
@@ -20,7 +22,7 @@ from ldpgauss.protocols import (
     replay_analyst,
 )
 from ldpgauss.protocols import RUNNERS
-from oracles import kv_rr2, rr1, sample_gaussian
+from oracles import kv_rr2, reference_dumps, rr1, sample_gaussian
 
 
 def make_config(protocol, n=2 ** 14, eps=1.0, mu=10.0, sigma=1.0, seed=3, **kwargs):
@@ -32,6 +34,21 @@ def make_config(protocol, n=2 ** 14, eps=1.0, mu=10.0, sigma=1.0, seed=3, **kwar
         eps=eps, beta=0.05, n=n, variance_mode=mode,
         truth=SimulationTruth(mu=mu, sigma=sigma), master_seed=seed, **kwargs,
     )
+
+
+def assert_same_items(loaded, original):
+    """The same items in the same order: broadcasts, and message blocks with
+    the same round, tag, kind, and users and values of the same dtype and
+    bits."""
+    assert len(loaded._items) == len(original._items)
+    for got, want in zip(loaded._items, original._items):
+        if want[0] == "broadcast":
+            assert got == want
+            continue
+        assert got[:4] == want[:4]
+        for a, b in zip(got[4:], want[4:]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert loaded.outcome == original.outcome
 
 
 def run_once(protocol, config, trial=0):
@@ -47,6 +64,13 @@ class TestPlanPartition:
         assert plan.level_plan.count == 10
         assert plan.level_plan.l_min == 0
         assert plan.level_plan.l_max == 9
+
+    @pytest.mark.parametrize("protocol,size", [("kv2", "k"), ("kv2", "k1"), ("kv1", "k"), ("uv1", "k1")])
+    def test_zero_level_size_rejected(self, protocol, size):
+        # an explicit 0 is a size, not "unset": it must not fall back to the default
+        config = make_config(protocol, n=4096, **{size: 0})
+        with pytest.raises(ConfigError, match="must be positive"):
+            plan_partition(config, protocol)
 
     def test_one_round_kv_constants_at_million_users(self):
         config = make_config("kv1", n=1_000_000, k1=2000)
@@ -328,6 +352,11 @@ class TestTranscriptAndReplay:
         ("kv1", dict(k1=512), "level user replaced by a discarded user"),
         ("uv1", dict(k1=2048, sigma=3.0), "users swapped between two level blocks"),
         ("kv2", dict(k=512), "two lines swapped inside one block"),
+        ("kv2", dict(k=512), "round true on the first line"),
+        ("kv2", dict(k=512), "round 1.0 on every level:0 line"),
+        ("kv2", dict(k=512), "value true for each +1 sign"),
+        ("kv2", dict(k=512), "a message line with default separators"),
+        ("kv2", dict(k=512), "broadcast round 2.0"),
     ])
     def test_transcript_no_run_could_produce_rejected(self, protocol, kwargs, edit):
         config = make_config(protocol, **kwargs)
@@ -391,11 +420,83 @@ class TestTranscriptAndReplay:
                 lines[0], user=int(np.setdiff1d(np.arange(config.n), transcript.user_ids())[-1]),
             )] + lines[1:],
             "two lines swapped inside one block": lambda: swap_lines(1, 2),
+            "round true on the first line": lambda: [dict(lines[0], round=True)] + lines[1:],
+            "round 1.0 on every level:0 line": lambda: [
+                dict(obj, round=1.0) if obj.get("subgroup") == "level:0" else obj for obj in lines],
+            "value true for each +1 sign": lambda: [
+                dict(obj, value=True) if obj.get("kind") == "sign" and obj["value"] == 1 else obj
+                for obj in lines],
+            "broadcast round 2.0": lambda: [
+                dict(obj, round=2.0) if "broadcast" in obj else obj for obj in lines],
+            # a str stands for a line already spelled
+            "a message line with default separators": lambda: [json.dumps(lines[0])] + lines[1:],
         }
-        text = "\n".join(json.dumps(obj, separators=(",", ":")) for obj in edits[edit]())
+        text = "\n".join(
+            obj if isinstance(obj, str) else json.dumps(obj, separators=(",", ":"))
+            for obj in edits[edit]()
+        )
         assert text != transcript.dumps().rstrip("\n")
         with pytest.raises(MalformedInputError):
             replay_analyst(protocol, config, Transcript.loads(text, protocol, config.n))
+
+    @pytest.mark.parametrize("protocol,kwargs", [
+        ("kv2", dict(k=512)),
+        ("kv1", dict(k1=512)),
+        ("uv2", dict(k1=2048, sigma=3.0)),
+        ("uv1", dict(k1=2048, sigma=3.0)),
+    ])
+    def test_block_writer_matches_reference_and_reads_back(
+        self, protocol, kwargs, tmp_path, monkeypatch
+    ):
+        config = make_config(protocol, **kwargs)
+        _, transcript = run_once(protocol, config)
+        text = transcript.dumps()
+        assert text == reference_dumps(transcript)
+        transcript.dump(tmp_path / "t.jsonl")
+        assert (tmp_path / "t.jsonl").read_bytes() == text.encode("ascii")
+        assert_same_items(Transcript.loads(text, protocol, config.n), transcript)
+        # blocks written in many slices and read in many windows
+        monkeypatch.setattr(protocols, "_SLICE", 7)
+        monkeypatch.setattr(protocols, "_WINDOW", 1000)
+        assert transcript.dumps() == text
+        assert_same_items(Transcript.loads(text, protocol, config.n), transcript)
+
+    def test_extreme_reals_write_and_read_back(self):
+        transcript = Transcript("uv2", 16)
+        transcript.add_messages(1, "level:1", "quad", np.arange(3), np.array([0, 3, 2]))
+        transcript.add_broadcast(2, {"interval_lo": -1.5, "interval_hi": 2.5})
+        reals = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -1e300, 5e-324, 0.1, 1e16, 1e-5]
+        transcript.add_messages(2, "refine", "real", np.arange(8, 8 + len(reals)), np.array(reals))
+        transcript.set_outcome(EstimateOutcome("uv2", 0.5, 2.0, math.inf))
+        text = transcript.dumps()
+        assert text == reference_dumps(transcript)
+        assert ('"value":NaN}' in text and '"value":-Infinity}' in text
+                and '"value":-0.0}' in text and '"value":5e-324}' in text)
+        loaded = Transcript.loads(text, "uv2", 16)
+        assert_same_items(loaded, transcript)
+        assert loaded.dumps() == text
+
+    @pytest.mark.parametrize("line", [
+        '{"round":1,"user":01,"subgroup":"refine","kind":"real","value":0.5}',
+        '{"round":1,"user":-0,"subgroup":"refine","kind":"real","value":0.5}',
+        '{"round":1,"user":1,"subgroup":"refine","kind":"real","value":0.50}',
+        '{"round":1,"user":1,"subgroup":"refine","kind":"real","value":5e-1}',
+        '{"round":1,"user":1,"subgroup":"refine","kind":"real","value":1}',
+        '{"round":1,"user":1,"subgroup":"refine","kind":"real","value":nan}',
+        '{"round":1,"user":1,"subgroup":"refine","kind":"real","value":0.1000000000000000055}',
+        '{"round":1,"user":1,"subgroup":"refine","kind":"sign","value":1.0}',
+        '{"round":1,"user":007,"subgroup":"refine","kind":"sign","value":1}',
+        '{"round":1,"user":1,"subgroup":"refine","kind":"sign","value":+1}',
+        '{"round":1,"user":1,"subgroup":"re\\u0066ine","kind":"sign","value":1}',
+        '{"round":1,"user":1,"kind":"sign","subgroup":"refine","value":1}',
+        '{"round":1,"user":1,"subgroup":"refine","kind":"sign","value":1} ',
+    ])
+    def test_message_spelled_otherwise_rejected(self, line):
+        good = '{"round":1,"user":0,"subgroup":"refine","kind":"sign","value":-1}\n'
+        for text in (line, good + line, line + "\n" + good):
+            with pytest.raises(MalformedInputError):
+                Transcript.loads(text, "kv2", 16)
+        assert Transcript.loads(good * 2, "kv2", 16).message_count == 2
 
     def test_mutated_value_detected(self):
         config = make_config("kv2", k=512)
