@@ -216,12 +216,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     merged = _merge_config_file(args)
     _require(merged, "protocol", "trials")
-    n_values = merged.get("n_grid") or ([merged["n"]] if merged.get("n") else None)
+    # a scalar is a value when given, 0 included; the run rejects bad ones
+    n_values, eps_values, mu_values, sigma_values = (
+        merged.get(f"{name}_grid") or ([merged[name]] if merged.get(name) is not None else None)
+        for name in ("n", "eps", "mu", "sigma")
+    )
     if not n_values:
         raise UsageError("sweep needs --n-grid (or --n)")
-    eps_values = merged.get("eps_grid") or ([merged["eps"]] if merged.get("eps") else None)
-    mu_values = merged.get("mu_grid") or ([merged["mu"]] if merged.get("mu") is not None else None)
-    sigma_values = merged.get("sigma_grid") or ([merged["sigma"]] if merged.get("sigma") else None)
     if not (eps_values and mu_values and sigma_values):
         raise UsageError("sweep needs eps, mu, and sigma values (grid or scalar)")
     spec = _spec_from(merged, n_values, eps_values, mu_values, sigma_values)

@@ -195,5 +195,7 @@ def floor_div_mod4(x: float, j: int) -> int:
     return int(math.floor(x / (2.0 ** j)) % 4.0)
 
 
-def floor_div_mod4_array(xs: np.ndarray, j: int) -> np.ndarray:
+def floor_div_mod4_array(xs: np.ndarray, j) -> np.ndarray:
+    """floor_div_mod4 elementwise; j is an int or an int array, one per x
+    (2.0 ** j over an int array equals the Python scalar bit for bit)."""
     return (np.floor(np.asarray(xs, dtype=np.float64) / (2.0 ** j)) % 4.0).astype(np.int64)

@@ -14,13 +14,17 @@ once, as the plan's block table of every transcript item in emission order.
 The first half of the user indices is split into per-level blocks (ascending
 level order); the second half either answers the round-two broadcast
 wholesale or is split into one-round subgroup blocks. Leftover users are
-never queried. Runners emit by walking the table, and the analyst's gate
-requires a transcript to equal it block for block.
+never queried. Runners emit by walking the table as runs: consecutive
+blocks of one kind whose user ranges touch (the level blocks, the
+refinement subgroups, the round-two block). A run is privatized in chunks
+of up to 2^14 users, each with one draw of uniforms and one kernel call fed
+per-user parameters, and each block enters the transcript as a slice of the
+run's arrays. The analyst's gate requires a transcript to equal the table
+block for block.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
@@ -378,6 +382,18 @@ _STRING = r'"(?:[^"\\\n]|\\.)*"'
 _MESSAGE_HEAD = re.compile(
     rf'(\{{"round":({_INT}),"user":){_INT}(,"subgroup":({_STRING}),"kind":({_STRING}),"value":)'
 )
+# Consecutive message lines that repeat the first one's head (group 1) and
+# middle (group 2), for integer and for real values; a real value only has
+# its characters checked here, and _read_run checks its spelling. The
+# possessive repeat never backtracks, which keeps the backreferences as fast
+# as a literal head and middle.
+_RUN = {
+    integral: re.compile(
+        rf'(\{{"round":{_INT},"user":){_INT}(,"subgroup":{_STRING},"kind":{_STRING},"value":)'
+        rf'{value}\}}(?:\n|\Z)(?:\1{_INT}\2{value}\}}(?:\n|\Z))*+'
+    )
+    for integral, value in ((True, _INT), (False, "[-+.0-9eINafinty]+"))
+}
 
 
 def _json_line(obj: dict) -> str:
@@ -401,14 +417,6 @@ def _malformed(text: str, pos: int, why: str) -> MalformedInputError:
     return MalformedInputError(f"line {text.count(chr(10), 0, pos) + 1}: {why}")
 
 
-@functools.lru_cache(maxsize=4096)
-def _run_pattern(head: str, middle: str, integral: bool) -> "re.Pattern":
-    """Consecutive message lines with this head and middle. A real value
-    only has its characters checked here; _read_run checks its spelling."""
-    value = _INT if integral else "[-+.0-9eINafinty]+"
-    return re.compile(f"(?:{re.escape(head)}{_INT}{re.escape(middle)}{value}}}(?:\n|\\Z))*")
-
-
 def _read_run(text: str, pos: int, cut: int):
     """The message lines from `pos` that share the first one's round,
     subgroup and kind, up to `cut`: ((round, subgroup, kind), users, values,
@@ -421,9 +429,10 @@ def _read_run(text: str, pos: int, cut: int):
     if json.dumps(subgroup) != first[4] or json.dumps(kind) != first[5]:
         return None
     integral = kind in _INT_KINDS
-    end = _run_pattern(head, middle, integral).match(text, pos, cut).end()
-    if end == pos:
+    run = _RUN[integral].match(text, pos, cut)
+    if run is None:
         return None
+    end = run.end()
     # "u M v}\nH u M v}\nH ... u M v" -> "u M v M u M v ... u M v"
     body = text[pos + len(head):end - (text[end - 1] == "\n") - 1].replace("}\n" + head, middle)
     misspelled = "a value at or below this line is not spelled as written"
@@ -625,12 +634,14 @@ def _gate(plan: PartitionPlan, transcript: Transcript, round_no: int) -> Dict[st
     Raises MalformedInputError unless the transcript's items through this
     round equal the plan's block table, block for block, and at the last
     round no item follows: each broadcast sits where the table puts it, and
-    each message block has its planned round, tag and kind, with user
-    indices an integer array equal to its planned range. Planned ranges are
-    disjoint and lie in [0, n), so no user reports twice, outside their own
-    subgroup, or at all if discarded. Every value of this round must also be
-    one its randomizer can report: quad values in {0,1,2,3}, sign values in
-    {-1,+1}, real values finite (and within the randomizer's reach in uv1).
+    each message block has its planned round, tag, kind and length, with
+    user indices an integer array. This round's blocks must hold exactly
+    their planned ranges of users (the analyst gates the rounds in order, so
+    earlier rounds' were checked before). Planned ranges are disjoint and
+    lie in [0, n), so no user reports twice, outside their own subgroup, or
+    at all if discarded. Every value of this round must also be one its
+    randomizer can report: quad values in {0,1,2,3}, sign values in {-1,+1},
+    real values finite (and within the randomizer's reach in uv1).
     """
     planned = [block for block in plan.blocks if block.round <= round_no]
     items = transcript._items
@@ -638,7 +649,7 @@ def _gate(plan: PartitionPlan, transcript: Transcript, round_no: int) -> Dict[st
         raise MalformedInputError(
             f"transcript holds {len(items)} blocks, expected {len(planned)} through round {round_no}"
         )
-    reports, by_kind = {}, {}
+    reports, by_kind, this_round = {}, {}, []
     for index, (block, item) in enumerate(zip(planned, items)):
         if block.kind == "broadcast":
             match = item[:2] == ("broadcast", block.round)
@@ -646,13 +657,26 @@ def _gate(plan: PartitionPlan, transcript: Transcript, round_no: int) -> Dict[st
             match = (
                 item[:4] == ("messages", block.round, block.tag, block.kind)
                 and item[4].dtype.kind == "i"
-                and np.array_equal(item[4], np.arange(block.start, block.start + block.count))
+                and item[4].shape == (block.count,)
             )
         if not match:
             raise MalformedInputError(f"transcript block {index} is not the planned {block}")
         if block.round == round_no and block.kind != "broadcast":
             reports[block.tag] = item[5]
             by_kind.setdefault(block.kind, []).append(block)
+            this_round.append(index)
+    # All of this round's users at once: within each block, user minus
+    # position must equal the block's start minus its offset.
+    offsets = np.cumsum([0] + [planned[i].count for i in this_round[:-1]])
+    shifts = np.array([planned[i].start for i in this_round]) - offsets
+    users = np.concatenate([items[i][4] for i in this_round]).astype(np.int64, copy=False)
+    users -= np.arange(users.size)
+    wrong = (np.minimum.reduceat(users, offsets) != shifts) | (
+        np.maximum.reduceat(users, offsets) != shifts
+    )
+    if wrong.any():
+        index = this_round[int(np.argmax(wrong))]
+        raise MalformedInputError(f"transcript block {index} is not the planned {planned[index]}")
     for kind, blocks in by_kind.items():
         if not _reportable(kind, [reports[b.tag] for b in blocks], [b.reach for b in blocks]):
             raise MalformedInputError(f"round {round_no} holds a {kind} value no randomizer reports")
@@ -727,6 +751,62 @@ def _analyze(
 # Runners: users emit, then the analyst decides on the transcript they wrote.
 # Only the user side reads samples, through the randomizer kernels.
 
+_CHUNK = 1 << 14  # users privatized with one streams.matrix and one kernel call
+
+
+def _runs(blocks):
+    """Consecutive message blocks that share a kind and whose user ranges
+    touch, as lists; a broadcast is a run of its own."""
+    run: List[Block] = []
+    for block in blocks:
+        if run and not (
+            block.kind == run[-1].kind != "broadcast"
+            and block.start == run[-1].start + run[-1].count
+        ):
+            yield run
+            run = []
+        run.append(block)
+    if run:
+        yield run
+
+
+def _parameters(plan: PartitionPlan, block: Block) -> tuple:
+    """A message block's public randomizer parameters that vary by block, as
+    scalars: the level, or the refinement lattice's offset and spacing (and
+    in uv1 the noise numerator). Round-two blocks take theirs from the
+    broadcast."""
+    if block.kind == "quad":
+        return (block.key,)
+    if block.key is None:
+        return ()
+    if block.kind == "sign":
+        lattice = plan.kv1_lattice(block.key)
+        return lattice.offset, lattice.spacing
+    lattice = plan.uv1_lattice(*block.key)
+    return lattice.offset, lattice.spacing, plan.uv1_noise_numerator(block.key[0])
+
+
+def _privatize(plan: PartitionPlan, kind: str, x, draws, params: tuple, broadcast):
+    """One kernel call: reports of users with samples `x` and draws `draws`,
+    under `params` (_parameters, repeated per user)."""
+    if kind == "quad":
+        return rr1_values(plan.eps, x, params[0], draws[:, 0], draws[:, 1])
+    if kind == "sign":
+        if not params:  # kv2's round two, centered on the broadcast
+            centers = broadcast["mu_hat1"]
+        else:
+            centers = LatticeSpec(*params).nearest_points(x)
+        true_signs = sign_with_positive_zero((x - centers) / plan.sigma)
+        return sign_rr_values(plan.eps, true_signs, draws[:, 0])
+    if not params:  # uv2's round two, clamped to the broadcast
+        lo, hi = broadcast["interval_lo"], broadcast["interval_hi"]
+        return uv_rr2_values(plan.eps, x, lo, hi, draws[:, 0])
+    offset, spacing, numerator = params
+    return one_round_uv_rr2_values(
+        plan.eps, x, LatticeSpec(offset, spacing), numerator, draws[:, 0]
+    )
+
+
 def _run(protocol: str, config: ProtocolConfig, samples, streams: TrialStreams):
     plan = plan_partition(config, protocol)
     samples = np.asarray(samples, dtype=np.float64)
@@ -736,35 +816,29 @@ def _run(protocol: str, config: ProtocolConfig, samples, streams: TrialStreams):
 
     def emit(round_no: int, broadcast: Optional[dict] = None) -> None:
         """One round, in table order: the broadcast that opens it, then each
-        message block's users privatize their samples."""
-        for block in plan.blocks:
-            if block.round != round_no:
-                continue
-            if block.kind == "broadcast":
+        run of message blocks' users privatize their samples, _CHUNK users
+        per draw and kernel call, and each block is added as a slice."""
+        for run in _runs([block for block in plan.blocks if block.round == round_no]):
+            kind, start = run[0].kind, run[0].start
+            if kind == "broadcast":
                 transcript.add_broadcast(round_no, broadcast)
                 continue
-            idx = np.arange(block.start, block.start + block.count)
-            x = samples[idx]
-            draws = streams.matrix(idx, first=2, count=2 if block.kind == "quad" else 1)
-            if block.kind == "quad":
-                values = rr1_values(plan.eps, x, block.key, draws[:, 0], draws[:, 1])
-            elif block.kind == "sign":
-                if block.key is None:  # kv2's round two, centered on the broadcast
-                    centers = broadcast["mu_hat1"]
-                else:
-                    centers = plan.kv1_lattice(block.key).nearest_points(x)
-                true_signs = sign_with_positive_zero((x - centers) / plan.sigma)
-                values = sign_rr_values(plan.eps, true_signs, draws[:, 0])
-            elif block.key is None:  # uv2's round two, clamped to the broadcast
-                lo, hi = broadcast["interval_lo"], broadcast["interval_hi"]
-                values = uv_rr2_values(plan.eps, x, lo, hi, draws[:, 0])
-            else:
-                level, m = block.key
-                values = one_round_uv_rr2_values(
-                    plan.eps, x, plan.uv1_lattice(level, m), plan.uv1_noise_numerator(level),
-                    draws[:, 0],
-                )
-            transcript.add_messages(round_no, block.tag, block.kind, idx, values)
+            stop = run[-1].start + run[-1].count
+            counts = [block.count for block in run]
+            params = [
+                np.repeat(column, counts)
+                for column in zip(*(_parameters(plan, block) for block in run))
+            ]
+            users, x = np.arange(start, stop), samples[start:stop]
+            values = np.empty(stop - start, np.float64 if kind == "real" else np.int64)
+            for lo in range(0, stop - start, _CHUNK):
+                part = slice(lo, lo + _CHUNK)
+                draws = streams.matrix(users[part], first=2, count=2 if kind == "quad" else 1)
+                chunk = [p[part] for p in params]
+                values[part] = _privatize(plan, kind, x[part], draws, chunk, broadcast)
+            for block in run:
+                part = slice(block.start - start, block.start - start + block.count)
+                transcript.add_messages(round_no, block.tag, kind, users[part], values[part])
 
     emit(1)
     outcome = _analyze(plan, transcript, lambda broadcast: emit(2, broadcast))

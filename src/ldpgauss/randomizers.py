@@ -1,11 +1,15 @@
 """User-side local randomizers.
 
-Each kernel privatizes a block of users at once: one private sample plus
-public parameters and the user's own uniform draws give exactly one report
-per user. The kernels are the only code that reads raw samples, and the one
-implementation of user-side randomization. Every randomizer satisfies a pure
-epsilon local-privacy bound, certified in closed form by the audit helpers
-at the bottom.
+Each kernel privatizes many users at once: one private sample plus public
+parameters and the user's own uniform draws give exactly one report per
+user. The parameters that differ between subgroups (the level, the lattice
+offset and spacing, the noise numerator) may be scalars or arrays with one
+entry per user, and broadcast elementwise, so one call can span users of
+many subgroups and give each the bits of a call for their subgroup alone.
+The kernels are the only code that reads raw samples, and the one
+implementation of user-side randomization. Every randomizer satisfies a
+pure epsilon local-privacy bound, certified in closed form by the audit
+helpers at the bottom.
 """
 
 from __future__ import annotations
@@ -24,13 +28,15 @@ from ldpgauss.numerics import (
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Arithmetic progression {offset + b * spacing : b integer}."""
+    """Arithmetic progression {offset + b * spacing : b integer}. For
+    `nearest_points`, offset and spacing may also be per-user arrays."""
 
     offset: float
     spacing: float
 
     def __post_init__(self):
-        if not self.spacing > 0.0:
+        positive = self.spacing > 0.0
+        if not (positive.all() if isinstance(positive, np.ndarray) else positive):
             raise ValueError(f"lattice spacing must be positive, got {self.spacing}")
 
     def nearest_point(self, x: float) -> float:

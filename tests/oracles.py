@@ -12,7 +12,9 @@ draws and counts report by report.
 
 The transcript writer at the bottom serializes one JSON object per line
 with json.dumps; the library formats whole message blocks from templates
-and must write the same bytes.
+and must write the same bytes. The reference run beside it emits block by
+block, one draw and one kernel call per block; the library privatizes runs
+of blocks in chunks and must record the same transcript.
 """
 
 import json
@@ -35,6 +37,7 @@ from ldpgauss.aggregation import (
 )
 from ldpgauss.analyst import LevelPlan
 from ldpgauss.numerics import RandomStream, gaussian_from_uniforms, laplace_from_uniform
+from ldpgauss.protocols import Transcript, _analyze, plan_partition
 from ldpgauss.randomizers import (
     LatticeSpec,
     one_round_uv_rr2_values,
@@ -343,3 +346,47 @@ def reference_dumps(transcript) -> str:
     return "".join(
         json.dumps(line, separators=(",", ":")) + "\n" for line in iter_lines(transcript)
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference run: one streams.matrix call and one kernel call per block.
+
+def reference_run(protocol, config, samples, streams):
+    plan = plan_partition(config, protocol)
+    samples = np.asarray(samples, dtype=np.float64)
+    transcript = Transcript(protocol, config.n)
+
+    def emit(round_no, broadcast=None):
+        for block in plan.blocks:
+            if block.round != round_no:
+                continue
+            if block.kind == "broadcast":
+                transcript.add_broadcast(round_no, broadcast)
+                continue
+            idx = np.arange(block.start, block.start + block.count)
+            x = samples[idx]
+            draws = streams.matrix(idx, first=2, count=2 if block.kind == "quad" else 1)
+            if block.kind == "quad":
+                values = rr1_values(plan.eps, x, block.key, draws[:, 0], draws[:, 1])
+            elif block.kind == "sign":
+                if block.key is None:  # kv2's round two, centered on the broadcast
+                    centers = broadcast["mu_hat1"]
+                else:
+                    centers = plan.kv1_lattice(block.key).nearest_points(x)
+                true_signs = sign_with_positive_zero((x - centers) / plan.sigma)
+                values = sign_rr_values(plan.eps, true_signs, draws[:, 0])
+            elif block.key is None:  # uv2's round two, clamped to the broadcast
+                lo, hi = broadcast["interval_lo"], broadcast["interval_hi"]
+                values = uv_rr2_values(plan.eps, x, lo, hi, draws[:, 0])
+            else:
+                level, m = block.key
+                values = one_round_uv_rr2_values(
+                    plan.eps, x, plan.uv1_lattice(level, m), plan.uv1_noise_numerator(level),
+                    draws[:, 0],
+                )
+            transcript.add_messages(round_no, block.tag, block.kind, idx, values)
+
+    emit(1)
+    outcome = _analyze(plan, transcript, lambda broadcast: emit(2, broadcast))
+    transcript.set_outcome(outcome)
+    return outcome, transcript

@@ -125,6 +125,22 @@ class TestSweep:
         assert "slope eps=1.0 mu=10.0 sigma=1.0: absent" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("flag,message", [
+        ("--n", "n must be even and at least 2, got 0"),
+        ("--eps", "eps must be positive, got 0.0"),
+        ("--sigma", "sigma must be positive, got 0.0"),
+    ])
+    def test_zero_scalar_is_a_value_not_unset(self, tmp_path, capsys, flag, message):
+        args = [
+            "sweep", "--protocol", "kv2", "--n", "4096", "--eps", "1", "--mu", "10",
+            "--sigma", "1", "--k", "256", "--trials", "2", "--out", str(tmp_path),
+        ]
+        args[args.index(flag) + 1] = "0"
+        assert cli.main(args) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
+
 class TestAudit:
     def test_default_budgets_pass(self, capsys):
         assert cli.main(["audit"]) == 0

@@ -204,3 +204,13 @@ class TestFloorDivMod4:
         xs = np.array([-7.5, -1.5, 0.0, 0.999, 5.0, 16.0, 1e9])
         got = floor_div_mod4_array(xs, 2)
         assert list(got) == [floor_div_mod4(float(v), 2) for v in xs]
+
+    def test_per_user_levels_match_scalar_levels_bitwise(self):
+        # one level per x, over every j whose 2^j is a finite double
+        js = np.arange(-1074, 1024)
+        assert (2.0 ** js).tobytes() == np.array([2.0 ** int(j) for j in js]).tobytes()
+        xs = np.random.default_rng(4).normal(0.0, 1e3, js.size) * 2.0 ** (js // 2)
+        got = floor_div_mod4_array(xs, js)
+        assert got.dtype == np.int64
+        assert got.tolist() == [int(floor_div_mod4_array(xs[i:i + 1], int(j))[0])
+                                for i, j in enumerate(js.tolist())]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -22,7 +23,7 @@ from ldpgauss.protocols import (
     replay_analyst,
 )
 from ldpgauss.protocols import RUNNERS
-from oracles import kv_rr2, reference_dumps, rr1, sample_gaussian
+from oracles import kv_rr2, reference_dumps, reference_run, rr1, sample_gaussian
 
 
 def make_config(protocol, n=2 ** 14, eps=1.0, mu=10.0, sigma=1.0, seed=3, **kwargs):
@@ -308,6 +309,41 @@ class TestScalarOpsMatchEngine:
             x = sample_gaussian(stream, config.truth.mu, config.truth.sigma)
             rep = kv_rr2(stream, config.eps, x, outcome.mu_hat1, 1.0)
             assert rep.value == value
+
+
+class TestEmissionByRuns:
+    # chunks of 2^14 users cut through blocks of 1000 or 3000 users
+    @pytest.mark.parametrize("protocol,kwargs", [
+        ("kv2", dict(k=1000)),
+        ("kv1", dict(k1=1000)),
+        ("uv2", dict(k1=3000, sigma=3.0)),
+        ("uv1", dict(k1=3000, sigma=3.0)),
+    ])
+    def test_runs_record_the_per_block_transcript(self, protocol, kwargs, monkeypatch):
+        config = make_config(protocol, n=2 ** 16, **kwargs)
+        streams = TrialStreams(config.master_seed, 0)
+        samples = sample_population(config.truth, config.n, streams)
+        _, want = reference_run(protocol, config, samples, streams)
+        for chunk in (protocols._CHUNK, 7):  # 7: chunks end partial inside blocks
+            monkeypatch.setattr(protocols, "_CHUNK", chunk)
+            _, got = RUNNERS[protocol](config, samples, streams)
+            assert got.dumps() == want.dumps()
+            assert_same_items(got, want)
+
+    # sha256 of dumps() at n = 2^12, as written by per-block emission
+    @pytest.mark.parametrize("protocol,seed,digest", [
+        ("kv2", 1, "afd11f3a181c6fb272d8d223f4b2c9792ed7f38a742a23b15d3515f1b5ada3a0"),
+        ("kv2", 2, "4839a6b0efa48f3dc49e8477c7e4d2919eec2b65df644de152085dd81f49047c"),
+        ("kv1", 1, "42b57fad888cdaeb4cec175d4e6f70944539d124a595058560fc6147db4484ce"),
+        ("kv1", 2, "2c9b948211b9755c7d2ccade0d4026eefee1f082ecd18fbb42eb00b49941e7bb"),
+        ("uv2", 1, "a0f9c30dbb73f2a498f3a431515363fc65c55dc571de8dafef9ae04ef9fd4943"),
+        ("uv2", 2, "badcdd941d08d4d6443265fd6154faf59b42437001d37b062fde7969a5f7fc12"),
+        ("uv1", 1, "f07ee6a985df72753a865c1ed80a4d121030f67fd622c8ab7916749de015d410"),
+        ("uv1", 2, "184572c845b0f9bfde6f70a12b6aa6af6e398bce0bb999fd6be03060e02aa5f4"),
+    ])
+    def test_golden_transcript_digest(self, protocol, seed, digest):
+        _, transcript = run_once(protocol, make_config(protocol, n=2 ** 12, seed=seed))
+        assert hashlib.sha256(transcript.dumps().encode()).hexdigest() == digest
 
 
 class TestTranscriptAndReplay:

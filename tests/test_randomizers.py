@@ -206,3 +206,61 @@ class TestOneRoundUVRR2:
         rep = one_round_uv_rr2(RandomStream(2, 2), 1.0, 5.0, lattice, 8.0, user_id=3, subgroup=(1, 2))
         assert rep.user_id == 3 and rep.subgroup == (1, 2)
         assert math.isfinite(rep.value)
+
+
+class TestPerUserParameters:
+    """Parameter arrays with one entry per user give each user the bits a
+    scalar call for their block alone gives."""
+
+    counts = [5, 1, 9, 3]
+
+    def blocks(self, *columns):
+        """Per-user arrays from per-block scalars, and the block slices."""
+        ends = np.cumsum(self.counts)
+        parts = [slice(end - count, end) for end, count in zip(ends, self.counts)]
+        return [np.repeat(column, self.counts) for column in columns], parts
+
+    def draws(self, count):
+        return uniform_block(5, 2, np.arange(sum(self.counts)), 2, count)
+
+    def samples(self):
+        return np.random.default_rng(6).normal(10.0, 3.0, sum(self.counts))
+
+    def test_rr1(self):
+        x, d = self.samples(), self.draws(2)
+        levels = [-2, 0, 3, 1]
+        (per_user,), parts = self.blocks(levels)
+        got = rr1_values(1.0, x, per_user, d[:, 0], d[:, 1])
+        for level, part in zip(levels, parts):
+            want = rr1_values(1.0, x[part], level, d[part, 0], d[part, 1])
+            assert got[part].dtype == want.dtype and got[part].tobytes() == want.tobytes()
+
+    def test_lattice_signs(self):
+        x, d = self.samples(), self.draws(1)
+        offsets, spacings = [0.2, 0.4, 0.6, 0.8], [7.0, 7.0, 3.0, 0.5]
+        (off, spa), parts = self.blocks(offsets, spacings)
+        centers = LatticeSpec(off, spa).nearest_points(x)
+        got = sign_rr_values(1.0, sign_with_positive_zero(x - centers), d[:, 0])
+        for offset, spacing, part in zip(offsets, spacings, parts):
+            center = LatticeSpec(offset, spacing).nearest_points(x[part])
+            want = sign_rr_values(1.0, sign_with_positive_zero(x[part] - center), d[part, 0])
+            assert centers[part].tobytes() == center.tobytes()
+            assert got[part].tobytes() == want.tobytes()
+
+    def test_one_round_uv(self):
+        x, d = self.samples(), self.draws(1)
+        levels, ms = [-1, 0, 2, 4], [1, 3, 2, 10]
+        offsets = [m * 2.0 ** j for j, m in zip(levels, ms)]
+        spacings = [10 * 2.0 ** j for j in levels]
+        numerators = [20.0 * 2.0 ** j for j in levels]
+        (off, spa, num), parts = self.blocks(offsets, spacings, numerators)
+        got = one_round_uv_rr2_values(0.7, x, LatticeSpec(off, spa), num, d[:, 0])
+        for offset, spacing, numerator, part in zip(offsets, spacings, numerators, parts):
+            want = one_round_uv_rr2_values(
+                0.7, x[part], LatticeSpec(offset, spacing), numerator, d[part, 0])
+            assert got[part].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spacing", [0.0, -1.0, math.nan])
+    def test_lattice_spacing_checked_per_user(self, spacing):
+        with pytest.raises(ValueError, match="spacing must be positive"):
+            LatticeSpec(np.zeros(3), np.array([1.0, spacing, 2.0]))
