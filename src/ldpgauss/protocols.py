@@ -386,7 +386,9 @@ _MESSAGE_HEAD = re.compile(
 # middle (group 2), for integer and for real values; a real value only has
 # its characters checked here, and _read_run checks its spelling. The
 # possessive repeat never backtracks, which keeps the backreferences as fast
-# as a literal head and middle.
+# as a literal head and middle. Python's re has it from 3.11 on, hence the
+# package's requires-python; the atomic-lookahead spelling 3.10 accepts,
+# (?=((?:...)*))\3, is about three times slower than either.
 _RUN = {
     integral: re.compile(
         rf'(\{{"round":{_INT},"user":){_INT}(,"subgroup":{_STRING},"kind":{_STRING},"value":)'
