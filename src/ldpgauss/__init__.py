@@ -5,7 +5,7 @@ each user privatizes a single Gaussian sample before it leaves their hands,
 plus exact privacy audits and a reproducible Monte Carlo harness.
 """
 
-from ldpgauss.numerics import RandomStream, TrialStreams, erf, erf_inv
+from ldpgauss.numerics import TrialStreams, erf_inv
 from ldpgauss.protocols import (
     BoundedSigma,
     ConfigError,
@@ -29,12 +29,10 @@ __all__ = [
     "EstimateOutcome",
     "KnownSigma",
     "ProtocolConfig",
-    "RandomStream",
     "ReplayMismatch",
     "SimulationTruth",
     "Transcript",
     "TrialStreams",
-    "erf",
     "erf_inv",
     "plan_partition",
     "replay_analyst",

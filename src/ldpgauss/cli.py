@@ -65,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_config(p):
+        """Options that describe a run's configuration."""
         p.add_argument("--config", type=Path, help="flat JSON config; flags override it")
         p.add_argument("--protocol", choices=sorted(RUNNERS))
         p.add_argument("--n", type=int)
@@ -80,29 +81,34 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k2", type=int)
         p.add_argument("--levels", dest="levels", type=int,
                        help="size level subgroups for this many levels instead of --k/--k1")
-        p.add_argument("--trials", type=int)
         p.add_argument("--seed", type=int)
+
+    def add_run(p):
+        """add_config plus the options of commands that run trials."""
+        add_config(p)
+        p.add_argument("--trials", type=int)
         p.add_argument("--out", type=Path, help="output directory (default $LDPGAUSS_OUT or .)")
-        p.add_argument("--proof-constants", dest="proof_constants", action="store_true", default=None)
         p.add_argument("--timing", action="store_true", default=None,
                        help="record real wall times (breaks byte-identical reruns)")
 
     p_sim = sub.add_parser("simulate", help="run one configuration cell")
-    add_common(p_sim)
+    add_run(p_sim)
     p_sim.add_argument("--transcript", type=Path, help="also write trial 0's transcript here")
 
     p_sweep = sub.add_parser("sweep", help="run a configuration grid")
-    add_common(p_sweep)
+    add_run(p_sweep)
     p_sweep.add_argument("--n-grid", dest="n_grid", type=_int_list)
     p_sweep.add_argument("--eps-grid", dest="eps_grid", type=_float_list)
     p_sweep.add_argument("--mu-grid", dest="mu_grid", type=_float_list)
     p_sweep.add_argument("--sigma-grid", dest="sigma_grid", type=_float_list)
 
-    p_audit = sub.add_parser("audit", help="closed-form privacy audits")
+    p_audit = sub.add_parser("audit", help="exact privacy audits")
     p_audit.add_argument("--eps", type=_float_list, default=(0.1, 0.5, 1.0, 2.0))
 
+    # replay reads no --mu or --seed; it accepts them so that one set of
+    # configuration flags serves simulate and replay alike
     p_replay = sub.add_parser("replay", help="verify a transcript's analyst outputs")
-    add_common(p_replay)
+    add_config(p_replay)
     p_replay.add_argument("--transcript", type=Path, required=True)
     return parser
 
@@ -134,13 +140,13 @@ def _require(merged: dict, *names) -> None:
 
 
 def _variance_args(merged: dict):
+    """The sigma bounds: None for kv2/kv1, which refuse them."""
     protocol = merged["protocol"]
     if protocol in ("kv2", "kv1"):
         if merged.get("sigma_min") is not None or merged.get("sigma_max") is not None:
             raise UsageError(f"{protocol} uses --sigma, not --sigma-min/--sigma-max")
-        _require(merged, "sigma")
         return None
-    _require(merged, "sigma_min", "sigma_max", "sigma")
+    _require(merged, "sigma_min", "sigma_max")
     return (merged["sigma_min"], merged["sigma_max"])
 
 
@@ -163,7 +169,6 @@ def _spec_from(merged: dict, n_values, eps_values, mu_values, sigma_values) -> E
         k1=merged.get("k1"),
         k2=merged.get("k2"),
         levels_target=merged.get("levels"),
-        proof_constants=bool(merged.get("proof_constants")),
     )
 
 
@@ -271,17 +276,16 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     merged = _merge_config_file(args)
     _require(merged, "protocol", "n", "eps")
     protocol = merged["protocol"]
-    if protocol in ("kv2", "kv1"):
+    bounds = _variance_args(merged)
+    if bounds is None:
         _require(merged, "sigma")
         mode = KnownSigma(merged["sigma"])
     else:
-        _require(merged, "sigma_min", "sigma_max")
-        mode = BoundedSigma(merged["sigma_min"], merged["sigma_max"])
+        mode = BoundedSigma(*bounds)
     config = ProtocolConfig(
         eps=merged["eps"], beta=_beta(merged), n=merged["n"],
         variance_mode=mode, truth=None, k=merged.get("k"), k2=merged.get("k2"),
         k1=k1_for_levels(merged["n"], merged.get("levels"), merged.get("k"), merged.get("k1")),
-        proof_constants=bool(merged.get("proof_constants")),
     )
     transcript = Transcript.load(merged["transcript"], protocol, config.n)
     outcome = replay_analyst(protocol, config, transcript)

@@ -1,9 +1,11 @@
 """Monte Carlo experiment runner, privacy auditor, and result persistence.
 
-Privacy audits are analytic: output distributions and densities are
-evaluated in closed form, because empirical frequencies cannot certify a
-multiplicative e^eps bound. Statistical checks with standard-error
-tolerances live in the test suite instead.
+Privacy audits are analytic, because empirical frequencies cannot certify a
+multiplicative e^eps bound: the output law of a discrete randomizer comes
+from the maps its kernel runs, evaluated on a whole input grid at once, and
+the noise-adding randomizers' log-densities are evaluated in closed form.
+Statistical checks with standard-error tolerances live in the test suite
+instead.
 
 Trials are keyed by (master_seed, cell index, trial index), so results are
 independent of execution order and extending the trial count leaves earlier
@@ -17,12 +19,12 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ldpgauss.aggregation import MalformedInputError
-from ldpgauss.numerics import TrialStreams, gaussian_from_uniforms, hash_u64
+from ldpgauss.numerics import TrialStreams, floor_div_mod4_array, gaussian_from_uniforms, hash_u64
 from ldpgauss.protocols import (
     RUNNERS,
     BoundedSigma,
@@ -34,11 +36,10 @@ from ldpgauss.protocols import (
 )
 from ldpgauss.randomizers import (
     LatticeSpec,
-    kv_rr2_true_sign,
-    one_round_kv_rr2_true_sign,
     one_round_uv_rr2_log_density,
-    rr1_distribution,
-    sign_rr_distribution,
+    quad_keep_prob,
+    sign_keep_prob,
+    sign_with_positive_zero,
     uv_rr2_log_density,
 )
 
@@ -112,7 +113,6 @@ class ExperimentSpec:
     k1: Optional[int] = None
     k2: Optional[int] = None
     levels_target: Optional[int] = None
-    proof_constants: bool = False
 
     def __post_init__(self):
         if self.protocol not in RUNNERS:
@@ -147,7 +147,6 @@ class ExperimentSpec:
             eps=eps, beta=self.beta, n=n, variance_mode=mode,
             truth=SimulationTruth(mu=mu, sigma=sigma), master_seed=self.master_seed,
             k=self.k, k1=k1_for_levels(n, self.levels_target, self.k, self.k1), k2=self.k2,
-            proof_constants=self.proof_constants,
         )
 
 
@@ -252,7 +251,7 @@ def fit_loglog_slope(n_values: Sequence[int], medians: Sequence[float]) -> Optio
 
 
 # ---------------------------------------------------------------------------
-# Privacy audits (closed form, no sampling).
+# Privacy audits (exact, no sampling).
 
 def _require_finite_eps(eps: float) -> None:
     if not (eps > 0.0 and math.isfinite(eps)):
@@ -264,74 +263,48 @@ def audit_privacy_discrete(
 ) -> float:
     """Worst-case output-probability ratio across all input pairs.
 
-    Distributions are evaluated in closed form for every input on the grid;
-    the result is max over inputs x, x' and outputs a of P[a|x] / P[a|x'].
+    The output law of every input on the grid comes from the maps the
+    kernels run: the true report (the quad digit, or the sign of the
+    residual to the center) is kept with the keep probability, else replaced
+    by each other output alike. The result is max over inputs x, x' and
+    outputs a of P[a|x] / P[a|x'].
     """
     _require_finite_eps(eps)
+    xs = np.asarray(input_grid, dtype=np.float64)
     if randomizer == "rr1":
-        dists = [rr1_distribution(eps, x, params.get("level_j", 0)) for x in input_grid]
-    elif randomizer == "kv_rr2":
-        dists = [
-            sign_rr_distribution(
-                eps, kv_rr2_true_sign(x, params["mu_hat1"], params["sigma"])
-            )
-            for x in input_grid
-        ]
-    elif randomizer == "one_round_kv_rr2":
-        dists = [
-            sign_rr_distribution(
-                eps, one_round_kv_rr2_true_sign(x, params["lattice"], params["sigma"])
-            )
-            for x in input_grid
-        ]
+        keep, outputs = quad_keep_prob(eps), np.arange(4)
+        truth = floor_div_mod4_array(xs, params.get("level_j", 0))
+    elif randomizer in ("kv_rr2", "one_round_kv_rr2"):
+        keep, outputs = sign_keep_prob(eps), np.array([-1, 1])
+        if randomizer == "kv_rr2":
+            centers = params["mu_hat1"]
+        else:
+            centers = params["lattice"].nearest_points(xs)
+        truth = sign_with_positive_zero((xs - centers) / params["sigma"])
     else:
         raise ValueError(f"unknown discrete randomizer {randomizer!r}")
-    stacked = np.stack(dists)
+    law = np.where(truth[:, None] == outputs, keep, (1.0 - keep) / (outputs.size - 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = stacked[:, None, :] / stacked[None, :, :]
+        ratios = law[:, None, :] / law[None, :, :]
     # 0/0 outcomes are indistinguishable (ratio 1); p/0 is a hard violation.
-    both_zero = (stacked[:, None, :] == 0.0) & (stacked[None, :, :] == 0.0)
+    both_zero = (law[:, None, :] == 0.0) & (law[None, :, :] == 0.0)
     ratios[both_zero] = 1.0
     return float(np.max(ratios))
 
 
 def audit_privacy_laplace(
     eps: float,
-    interval: Tuple[float, float],
+    log_density: Callable[[float, float], float],
     x_pairs: Iterable[Tuple[float, float]],
     y_grid: Sequence[float],
 ) -> float:
-    """Worst log-density ratio of the clamp-then-noise randomizer."""
-    _require_finite_eps(eps)
-    lo, hi = interval
-    worst = 0.0
-    for x1, x2 in x_pairs:
-        for y in y_grid:
-            gap = abs(
-                uv_rr2_log_density(eps, lo, hi, x1, y)
-                - uv_rr2_log_density(eps, lo, hi, x2, y)
-            )
-            worst = max(worst, float(gap))
-    return worst
-
-
-def audit_privacy_laplace_lattice(
-    eps: float,
-    lattice: LatticeSpec,
-    noise_scale_numerator: float,
-    x_pairs: Iterable[Tuple[float, float]],
-    y_grid: Sequence[float],
-) -> float:
-    """Worst log-density ratio of the lattice-residual noise randomizer."""
+    """Worst log-density ratio of a noise-adding randomizer, whose output
+    has log-density log_density(x, y) at y given input x."""
     _require_finite_eps(eps)
     worst = 0.0
     for x1, x2 in x_pairs:
         for y in y_grid:
-            gap = abs(
-                one_round_uv_rr2_log_density(eps, lattice, noise_scale_numerator, x1, y)
-                - one_round_uv_rr2_log_density(eps, lattice, noise_scale_numerator, x2, y)
-            )
-            worst = max(worst, float(gap))
+            worst = max(worst, float(abs(log_density(x1, y) - log_density(x2, y))))
     return worst
 
 
@@ -343,32 +316,32 @@ def default_audit_report(eps_values: Sequence[float]) -> List[dict]:
     """
     rows = []
     inputs = list(np.linspace(-10.0, 10.0, 41))
+    lattice = LatticeSpec(0.7, 3.0)
+    lo, hi = -2.0, 3.0
+    pairs = [(a, b) for a in inputs for b in (-10.0, lo, 0.0, hi, 10.0)]
+    ys = list(np.linspace(-12.0, 12.0, 33)) + [lo, hi]
     for eps in eps_values:
         bound = math.exp(eps)
         for name, params in (
             ("rr1", {"level_j": 0}),
             ("kv_rr2", {"mu_hat1": 0.3, "sigma": 1.0}),
-            ("one_round_kv_rr2", {"lattice": LatticeSpec(0.7, 3.0), "sigma": 1.0}),
+            ("one_round_kv_rr2", {"lattice": lattice, "sigma": 1.0}),
         ):
             ratio = audit_privacy_discrete(name, eps, inputs, params)
             rows.append({
                 "randomizer": name, "eps": eps, "measure": "max_ratio", "value": ratio,
                 "bound": bound, "ok": abs(ratio - bound) <= 1e-9,
             })
-        lo, hi = -2.0, 3.0
-        pairs = [(a, b) for a in inputs for b in (-10.0, lo, 0.0, hi, 10.0)]
-        ys = list(np.linspace(-12.0, 12.0, 33)) + [lo, hi]
-        log_gap = audit_privacy_laplace(eps, (lo, hi), pairs, ys)
-        rows.append({
-            "randomizer": "uv_rr2", "eps": eps, "measure": "max_log_ratio",
-            "value": log_gap, "bound": eps, "ok": log_gap <= eps + 1e-12,
-        })
-        lattice = LatticeSpec(0.7, 3.0)
-        log_gap = audit_privacy_laplace_lattice(eps, lattice, 2.0 * lattice.spacing, pairs, ys)
-        rows.append({
-            "randomizer": "one_round_uv_rr2", "eps": eps, "measure": "max_log_ratio",
-            "value": log_gap, "bound": eps, "ok": log_gap <= eps + 1e-12,
-        })
+        for name, log_density in (
+            ("uv_rr2", lambda x, y: uv_rr2_log_density(eps, lo, hi, x, y)),
+            ("one_round_uv_rr2", lambda x, y: one_round_uv_rr2_log_density(
+                eps, lattice, 2.0 * lattice.spacing, x, y)),
+        ):
+            log_gap = audit_privacy_laplace(eps, log_density, pairs, ys)
+            rows.append({
+                "randomizer": name, "eps": eps, "measure": "max_log_ratio",
+                "value": log_gap, "bound": eps, "ok": log_gap <= eps + 1e-12,
+            })
     return rows
 
 

@@ -1,12 +1,12 @@
-"""Deterministic math, seeded uniform streams, and transforms of uniforms.
+"""Deterministic math, seeded uniform draws, and transforms of uniforms.
 
 Everything here is a pure function of its inputs. Randomness comes from
-counter-based streams keyed by (master_seed, stream_id): draw t of a stream
-is a 64-bit avalanche hash of (master_seed, stream_id, t) mapped into (0, 1).
-Identical keys replay bit-identically and distinct keys never share state.
-`RandomStream` draws one uniform at a time and `uniform_block` draws for
-many users at once; both compute the same bits. Box-Muller and inverse-CDF
-Laplace turn blocks of uniforms into Gaussian samples and noise.
+counter-based streams, one per user per trial: draw t of user u in trial i
+is a 64-bit avalanche hash of (master_seed, hash_u64(i, u), t) mapped into
+(0, 1). Identical keys replay bit-identically and distinct keys never share
+state. `uniform_block` is the one way to draw: many users and draws at
+once. Box-Muller and inverse-CDF Laplace turn blocks of uniforms into
+Gaussian samples and noise.
 
 Draw-column discipline used by the protocol engine (one stream per user per
 trial): columns 0 and 1 feed the Box-Muller population sample, column 2 the
@@ -61,31 +61,6 @@ def _unit_from_u64(h):
     return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
-def derive_stream_id(trial_index: int, user_index: int) -> int:
-    """Stream id for one user in one trial (documented 64-bit mixing)."""
-    return hash_u64(trial_index, user_index)
-
-
-class RandomStream:
-    """One deterministic uniform stream keyed by (master_seed, stream_id).
-
-    Draw t is hash_u64(master_seed, stream_id, t) mapped into (0, 1); the
-    instance just tracks the next counter value.
-    """
-
-    __slots__ = ("master_seed", "stream_id", "position")
-
-    def __init__(self, master_seed: int, stream_id: int, position: int = 0):
-        self.master_seed = master_seed
-        self.stream_id = stream_id
-        self.position = position
-
-    def next_uniform(self) -> float:
-        h = hash_u64(self.master_seed, self.stream_id, self.position)
-        self.position += 1
-        return float(((h >> 11) + 0.5) * 2.0 ** -53)
-
-
 def uniform_block(
     master_seed: int,
     trial_index: int,
@@ -95,9 +70,9 @@ def uniform_block(
 ) -> np.ndarray:
     """Uniform draws for many users at once.
 
-    Returns a (len(user_indices), count) matrix whose row i, column t equals
-    draw first+t of RandomStream(master_seed, derive_stream_id(trial_index,
-    user_indices[i])), bit for bit.
+    Returns a (len(user_indices), count) matrix whose row i, column t is
+    hash_u64(master_seed, hash_u64(trial_index, user_indices[i]), first + t)
+    mapped into (0, 1) by its top 53 bits.
     """
     idx = np.asarray(user_indices, dtype=np.uint64)
     # hash_u64(trial, user) = mix64(mix64(IV ^ trial) ^ user)
@@ -111,7 +86,7 @@ def uniform_block(
 
 
 class TrialStreams:
-    """Per-user stream factory for a single trial."""
+    """The draws of one trial: `matrix` is `uniform_block` for its keys."""
 
     __slots__ = ("master_seed", "trial_index")
 
@@ -119,16 +94,8 @@ class TrialStreams:
         self.master_seed = master_seed
         self.trial_index = trial_index
 
-    def stream(self, user_index: int) -> RandomStream:
-        return RandomStream(self.master_seed, derive_stream_id(self.trial_index, user_index))
-
     def matrix(self, user_indices, first: int, count: int) -> np.ndarray:
         return uniform_block(self.master_seed, self.trial_index, user_indices, first, count)
-
-
-def erf(x: float) -> float:
-    """Gauss error function (odd, increasing, range (-1, 1))."""
-    return math.erf(x)
 
 
 # Rational approximation of the standard normal quantile (Acklam). Used only
@@ -190,12 +157,8 @@ def laplace_from_uniform(u, scale: float):
     return -scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
 
 
-def floor_div_mod4(x: float, j: int) -> int:
-    """Euclidean (always in {0,1,2,3}) value of floor(x / 2^j) mod 4."""
-    return int(math.floor(x / (2.0 ** j)) % 4.0)
-
-
 def floor_div_mod4_array(xs: np.ndarray, j) -> np.ndarray:
-    """floor_div_mod4 elementwise; j is an int or an int array, one per x
-    (2.0 ** j over an int array equals the Python scalar bit for bit)."""
+    """floor(x / 2^j) mod 4 elementwise, always in {0,1,2,3}; j is an int or
+    an int array, one per x (2.0 ** j over an int array equals the Python
+    scalar bit for bit)."""
     return (np.floor(np.asarray(xs, dtype=np.float64) / (2.0 ** j)) % 4.0).astype(np.int64)

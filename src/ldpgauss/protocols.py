@@ -128,10 +128,11 @@ class SimulationTruth:
 class ProtocolConfig:
     """Public protocol parameters plus the sealed simulation truth.
 
-    Subgroup sizes: k overrides the two-round known-variance level size, k1
-    the level size everywhere else, k2 the one-round refinement subgroups.
-    Unset sizes fall back to ceil(8 ln(8 max(n,2)/beta) / eps^2), or to the
-    much larger proof-grade constant when proof_constants is set.
+    Subgroup sizes: k1 sets the level size, and so does k, its name in the
+    two-round known-variance protocol; k2 sets the one-round refinement
+    subgroups. An unset level size falls back to
+    ceil(8 ln(8 max(n,2)/beta) / eps^2). A size the plan would not read (k
+    beside k1, or k2 in a two-round protocol) is a ConfigError.
     """
 
     eps: float
@@ -143,7 +144,6 @@ class ProtocolConfig:
     k: Optional[int] = None
     k1: Optional[int] = None
     k2: Optional[int] = None
-    proof_constants: bool = False
 
     def __post_init__(self):
         if not self.eps > 0.0:
@@ -155,13 +155,6 @@ class ProtocolConfig:
 
     def default_level_size(self) -> int:
         n_eff = max(self.n, 2)
-        if self.proof_constants:
-            # Proof-grade constants, with the level count majorized by n.
-            a = 5000.0 * math.log(5.0 * n_eff / self.beta)
-            b = 625.0 * ((self.eps + 4.0) / (self.eps * math.sqrt(2.0))) ** 2 * math.log(
-                4.0 * n_eff / self.beta
-            )
-            return int(math.ceil(max(a, b)))
         return int(math.ceil(_LEVEL_SIZE_C * math.log(8.0 * n_eff / self.beta) / self.eps ** 2))
 
 
@@ -283,8 +276,15 @@ def plan_partition(config: ProtocolConfig, protocol: str) -> PartitionPlan:
     n, eps, beta = config.n, config.eps, config.beta
     half = n // 2
 
-    sizes = (config.k, config.k1) if protocol == "kv2" else (config.k1, config.k)
-    k1 = next((size for size in sizes if size is not None), config.default_level_size())
+    # k and k1 name the same level size for a protocol, and k2 exists only
+    # in the one-round ones; a size the plan would drop is an error
+    if config.k is not None and config.k1 is not None:
+        ignored = "k1" if protocol == "kv2" else "k"
+        raise ConfigError(f"{protocol} takes k or k1, not both; it would ignore {ignored}")
+    if config.k2 is not None and protocol in ("kv2", "uv2"):
+        raise ConfigError(f"{protocol} has no refinement subgroups; it would ignore k2")
+    k1 = next((size for size in (config.k, config.k1) if size is not None),
+              config.default_level_size())
     if k1 < 1:
         raise ConfigError(f"level subgroup size must be positive, got {k1}")
     level_count = half // k1

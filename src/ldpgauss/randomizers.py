@@ -8,8 +8,10 @@ entry per user, and broadcast elementwise, so one call can span users of
 many subgroups and give each the bits of a call for their subgroup alone.
 The kernels are the only code that reads raw samples, and the one
 implementation of user-side randomization. Every randomizer satisfies a
-pure epsilon local-privacy bound, certified in closed form by the audit
-helpers at the bottom.
+pure epsilon local-privacy bound. The exact audits in `harness` certify it
+from the same maps the kernels run (the quad digit, nearest lattice points,
+the sign, the keep probabilities) and, for the noise-adding randomizers,
+from the log-densities at the bottom.
 """
 
 from __future__ import annotations
@@ -19,11 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ldpgauss.numerics import (
-    floor_div_mod4,
-    floor_div_mod4_array,
-    laplace_from_uniform,
-)
+from ldpgauss.numerics import floor_div_mod4_array, laplace_from_uniform
 
 
 @dataclass(frozen=True)
@@ -106,32 +104,8 @@ def one_round_uv_rr2_values(eps, xs, lattice: LatticeSpec, noise_scale_numerator
 
 
 # ---------------------------------------------------------------------------
-# Closed-form output distributions, used by the exact privacy audits.
-
-def rr1_distribution(eps: float, x: float, level_j: int) -> np.ndarray:
-    """Exact output probabilities of rr1 over {0,1,2,3} for input x."""
-    p = quad_keep_prob(eps)
-    truth = floor_div_mod4(x, level_j)
-    dist = np.full(4, (1.0 - p) / 3.0)
-    dist[truth] = p
-    return dist
-
-
-def sign_rr_distribution(eps: float, true_sign: int) -> np.ndarray:
-    """Exact output probabilities over (-1, +1), indexed as [P(-1), P(+1)]."""
-    p = sign_keep_prob(eps)
-    if true_sign >= 0:
-        return np.array([1.0 - p, p])
-    return np.array([p, 1.0 - p])
-
-
-def kv_rr2_true_sign(x: float, mu_hat1: float, sigma: float) -> int:
-    return int(sign_with_positive_zero(np.array([(x - mu_hat1) / sigma]))[0])
-
-
-def one_round_kv_rr2_true_sign(x: float, lattice: LatticeSpec, sigma: float) -> int:
-    return int(sign_with_positive_zero(np.array([(x - lattice.nearest_point(x)) / sigma]))[0])
-
+# Log-densities of the noise-adding randomizers, used by the exact privacy
+# audits.
 
 def uv_rr2_log_density(eps: float, interval_lo: float, interval_hi: float, x: float, y: float) -> float:
     """Log-density of uv_rr2's output at y given input x."""

@@ -4,6 +4,12 @@ The oracles compute by a different route than the code under test: Gaussian
 cell masses come straight from the CDF, nearest points and subgroup winners
 from bounded brute-force scans.
 
+The scalar stream below draws one uniform at a time; it is the reference
+for the library's one way to draw, `uniform_block`, which must give the
+same bits for many users at once. The closed-form output laws of the
+discrete randomizers are the reference for the privacy audit, which
+computes them from the kernels' array maps.
+
 The scalar operations handle one user at a time, drawing from that user's
 RandomStream in a fixed order, and aggregate lists of per-user reports. The
 library privatizes users only through its vectorized kernels; these compose
@@ -36,12 +42,19 @@ from ldpgauss.aggregation import (
     sign_counts_from_values,
 )
 from ldpgauss.analyst import LevelPlan
-from ldpgauss.numerics import RandomStream, gaussian_from_uniforms, laplace_from_uniform
+from ldpgauss.numerics import (
+    TrialStreams,
+    gaussian_from_uniforms,
+    hash_u64,
+    laplace_from_uniform,
+)
 from ldpgauss.protocols import Transcript, _analyze, plan_partition
 from ldpgauss.randomizers import (
     LatticeSpec,
     one_round_uv_rr2_values,
+    quad_keep_prob,
     rr1_values,
+    sign_keep_prob,
     sign_rr_values,
     sign_with_positive_zero,
     uv_rr2_values,
@@ -127,6 +140,36 @@ def brute_force_subgroup_uv(sigma_hat: float, mu_hat1: float, rho: int, b_window
 # ---------------------------------------------------------------------------
 # Scalar streams and samplers.
 
+def derive_stream_id(trial_index: int, user_index: int) -> int:
+    """Stream id for one user in one trial (documented 64-bit mixing)."""
+    return hash_u64(trial_index, user_index)
+
+
+class RandomStream:
+    """One deterministic uniform stream keyed by (master_seed, stream_id).
+
+    Draw t is hash_u64(master_seed, stream_id, t) mapped into (0, 1); the
+    instance just tracks the next counter value.
+    """
+
+    __slots__ = ("master_seed", "stream_id", "position")
+
+    def __init__(self, master_seed: int, stream_id: int, position: int = 0):
+        self.master_seed = master_seed
+        self.stream_id = stream_id
+        self.position = position
+
+    def next_uniform(self) -> float:
+        h = hash_u64(self.master_seed, self.stream_id, self.position)
+        self.position += 1
+        return float(((h >> 11) + 0.5) * 2.0 ** -53)
+
+
+def stream(streams: TrialStreams, user_index: int) -> RandomStream:
+    """One user's stream in the trial `streams` draws for."""
+    return RandomStream(streams.master_seed, derive_stream_id(streams.trial_index, user_index))
+
+
 def uniforms(stream: RandomStream, count: int) -> np.ndarray:
     return np.array([stream.next_uniform() for _ in range(count)])
 
@@ -145,6 +188,52 @@ def sample_laplace(stream: RandomStream, scale: float) -> float:
     if not scale > 0.0:
         raise ValueError(f"scale must be positive, got {scale}")
     return float(laplace_from_uniform(np.float64(stream.next_uniform()), scale))
+
+
+# ---------------------------------------------------------------------------
+# Closed-form output laws of the discrete randomizers, one input at a time.
+
+def floor_div_mod4(x: float, j: int) -> int:
+    """Euclidean (always in {0,1,2,3}) value of floor(x / 2^j) mod 4."""
+    return int(math.floor(x / (2.0 ** j)) % 4.0)
+
+
+def rr1_distribution(eps: float, x: float, level_j: int) -> np.ndarray:
+    """Exact output probabilities of rr1 over {0,1,2,3} for input x."""
+    p = quad_keep_prob(eps)
+    truth = floor_div_mod4(x, level_j)
+    dist = np.full(4, (1.0 - p) / 3.0)
+    dist[truth] = p
+    return dist
+
+
+def sign_rr_distribution(eps: float, true_sign: int) -> np.ndarray:
+    """Exact output probabilities over (-1, +1), indexed as [P(-1), P(+1)]."""
+    p = sign_keep_prob(eps)
+    if true_sign >= 0:
+        return np.array([1.0 - p, p])
+    return np.array([p, 1.0 - p])
+
+
+def discrete_audit_ratio(randomizer: str, eps: float, input_grid, params: dict) -> float:
+    """max over inputs x, x' and outputs a of P[a|x] / P[a|x'], from the
+    closed-form laws of one input at a time (0/0 counts as 1)."""
+    dists = []
+    for x in input_grid:
+        if randomizer == "rr1":
+            dists.append(rr1_distribution(eps, x, params.get("level_j", 0)))
+            continue
+        if randomizer == "kv_rr2":
+            center = params["mu_hat1"]
+        else:
+            center = params["lattice"].nearest_point(x)
+        true_sign = int(sign_with_positive_zero(np.array([(x - center) / params["sigma"]]))[0])
+        dists.append(sign_rr_distribution(eps, true_sign))
+    stacked = np.stack(dists)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = stacked[:, None, :] / stacked[None, :, :]
+    ratios[(stacked[:, None, :] == 0.0) & (stacked[None, :, :] == 0.0)] = 1.0
+    return float(np.max(ratios))
 
 
 # ---------------------------------------------------------------------------

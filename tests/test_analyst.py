@@ -22,7 +22,7 @@ from ldpgauss.analyst import (
     select_subgroup_uv,
     variance_threshold,
 )
-from ldpgauss.numerics import TrialStreams, erf
+from ldpgauss.numerics import TrialStreams
 from ldpgauss.protocols import RUNNERS, KnownSigma, ProtocolConfig, plan_partition
 from ldpgauss.randomizers import LatticeSpec
 
@@ -155,7 +155,7 @@ class TestRefineKnownSigma:
         assert refine_known_sigma(hist, 100, center=7.5, sigma=2.0) == 7.5
 
     def test_erf_roundtrip_argument(self):
-        target = erf(1.0)
+        target = math.erf(1.0)
         hist = SignHistogram(bins=np.array([(1 - target) * 50, (1 + target) * 50]), k=100)
         got = refine_known_sigma(hist, 100, center=3.0, sigma=2.0)
         assert got == pytest.approx(3.0 + 2.0 * math.sqrt(2.0), abs=1e-9)

@@ -9,6 +9,39 @@ def read(path):
     return path.read_bytes()
 
 
+def exit_code(argv):
+    """cli.main's exit code, also when argparse rejects argv."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# the exact stdout of `ldpgauss audit --eps 0.1,0.5,1,2`
+AUDIT_STDOUT = """\
+ok rr1 eps=0.1 max_ratio=1.1051709180756475 bound=1.1051709180756477
+ok kv_rr2 eps=0.1 max_ratio=1.1051709180756477 bound=1.1051709180756477
+ok one_round_kv_rr2 eps=0.1 max_ratio=1.1051709180756477 bound=1.1051709180756477
+ok uv_rr2 eps=0.1 max_log_ratio=0.10000000000000053 bound=0.1
+ok one_round_uv_rr2 eps=0.1 max_log_ratio=0.04166666666666696 bound=0.1
+ok rr1 eps=0.5 max_ratio=1.6487212707001278 bound=1.6487212707001282
+ok kv_rr2 eps=0.5 max_ratio=1.6487212707001284 bound=1.6487212707001282
+ok one_round_kv_rr2 eps=0.5 max_ratio=1.6487212707001284 bound=1.6487212707001282
+ok uv_rr2 eps=0.5 max_log_ratio=0.5000000000000004 bound=0.5
+ok one_round_uv_rr2 eps=0.5 max_log_ratio=0.20833333333333393 bound=0.5
+ok rr1 eps=1.0 max_ratio=2.7182818284590455 bound=2.718281828459045
+ok kv_rr2 eps=1.0 max_ratio=2.7182818284590455 bound=2.718281828459045
+ok one_round_kv_rr2 eps=1.0 max_ratio=2.7182818284590455 bound=2.718281828459045
+ok uv_rr2 eps=1.0 max_log_ratio=1.0000000000000004 bound=1.0
+ok one_round_uv_rr2 eps=1.0 max_log_ratio=0.41666666666666696 bound=1.0
+ok rr1 eps=2.0 max_ratio=7.389056098930653 bound=7.38905609893065
+ok kv_rr2 eps=2.0 max_ratio=7.3890560989306415 bound=7.38905609893065
+ok one_round_kv_rr2 eps=2.0 max_ratio=7.3890560989306415 bound=7.38905609893065
+ok uv_rr2 eps=2.0 max_log_ratio=2.000000000000001 bound=2.0
+ok one_round_uv_rr2 eps=2.0 max_log_ratio=0.8333333333333339 bound=2.0
+"""
+
+
 def simulate_args(tmp_path, **extra):
     args = [
         "simulate", "--protocol", "kv2", "--n", "4096", "--eps", "1", "--beta", "0.05",
@@ -90,6 +123,22 @@ class TestSimulate:
         assert cli.main(args) == 2
         assert "levels must be" in capsys.readouterr().err
 
+    def test_proof_constants_flag_is_gone(self, tmp_path, capsys):
+        assert exit_code(simulate_args(tmp_path) + ["--proof-constants"]) == 2
+        assert "--proof-constants" in capsys.readouterr().err
+
+    def test_proof_constants_config_key_is_gone(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"proof_constants": True}))
+        assert cli.main(simulate_args(tmp_path) + ["--config", str(path)]) == 2
+        assert "proof_constants" in capsys.readouterr().err
+
+    def test_size_the_protocol_would_ignore_exits_2(self, tmp_path, capsys):
+        # kv2 has no refinement subgroups, so k2 would be dropped
+        assert cli.main(simulate_args(tmp_path, k2=7)) == 2
+        assert "would ignore k2" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
     @pytest.mark.parametrize("flag", ["--k", "--k1", "--beta", "--trials"])
     def test_zero_is_a_value_not_unset(self, tmp_path, capsys, flag):
         # 0 is out of range for each of these; it must not mean "use the default"
@@ -125,6 +174,15 @@ class TestSweep:
         assert "slope eps=1.0 mu=10.0 sigma=1.0: absent" in capsys.readouterr().out
 
 
+    def test_sigma_grid_without_scalar_sigma(self, tmp_path):
+        args = [
+            "sweep", "--protocol", "kv2", "--n-grid", "4096", "--eps", "1", "--mu", "10",
+            "--sigma-grid", "1,2", "--k", "256", "--trials", "2", "--out", str(tmp_path),
+        ]
+        assert cli.main(args) == 0
+        rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == ["1.0", "2.0"]
+
     @pytest.mark.parametrize("flag,message", [
         ("--n", "n must be even and at least 2, got 0"),
         ("--eps", "eps must be positive, got 0.0"),
@@ -149,18 +207,18 @@ class TestAudit:
         assert "rr1" in out and "one_round_uv_rr2" in out
 
     def test_faulty_randomizer_detected(self, monkeypatch, capsys):
-        import numpy as np
-
         from ldpgauss import harness
 
-        def always_truthful(eps, x, level_j):
-            dist = np.zeros(4)
-            dist[int(x) % 4] = 1.0
-            return dist
+        def always_truthful(eps):
+            return 1.0
 
-        monkeypatch.setattr(harness, "rr1_distribution", always_truthful)
+        monkeypatch.setattr(harness, "quad_keep_prob", always_truthful)
         assert cli.main(["audit", "--eps", "1"]) == 1
         assert "VIOLATION" in capsys.readouterr().out
+
+    def test_golden_stdout(self, capsys):
+        assert cli.main(["audit", "--eps", "0.1,0.5,1,2"]) == 0
+        assert capsys.readouterr().out == AUDIT_STDOUT
 
     def test_zero_eps_exits_2(self):
         assert cli.main(["audit", "--eps", "0"]) == 2
@@ -227,6 +285,35 @@ class TestReplay:
         args[args.index("--beta") + 1] = "0"
         assert cli.main(args) == 2
         assert "beta must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        ["--trials", "99"], ["--out", "made-by-replay"], ["--timing"],
+        ["--sigma-min", "1", "--sigma-max", "4"],
+    ])
+    def test_option_replay_would_not_read_exits_2(self, tmp_path, capsys, extra):
+        transcript = self.run_with_transcript(tmp_path)
+        capsys.readouterr()
+        if extra[0] == "--out":
+            extra = ["--out", str(tmp_path / extra[1])]
+        assert exit_code(self.replay_args(tmp_path, transcript) + extra) == 2
+        assert "replay ok" not in capsys.readouterr().out
+        assert not (tmp_path / "made-by-replay").exists()
+
+    def test_sigma_bounds_message_matches_simulate(self, tmp_path, capsys):
+        transcript = self.run_with_transcript(tmp_path)
+        bounds = ["--sigma-min", "1", "--sigma-max", "4"]
+        assert cli.main(simulate_args(tmp_path) + bounds) == 2
+        simulate_err = capsys.readouterr().err
+        assert cli.main(self.replay_args(tmp_path, transcript) + bounds) == 2
+        assert capsys.readouterr().err == simulate_err == (
+            "error: kv2 uses --sigma, not --sigma-min/--sigma-max\n")
+
+    def test_mu_and_seed_still_accepted(self, tmp_path, capsys):
+        # one set of configuration flags serves simulate and replay alike
+        transcript = self.run_with_transcript(tmp_path)
+        args = self.replay_args(tmp_path, transcript) + ["--mu", "10", "--seed", "7"]
+        assert cli.main(args) == 0
+        assert "replay ok" in capsys.readouterr().out
 
     def test_truncated_transcript_exits_2(self, tmp_path):
         transcript = self.run_with_transcript(tmp_path)

@@ -8,7 +8,6 @@ from ldpgauss.harness import (
     ExperimentSpec,
     audit_privacy_discrete,
     audit_privacy_laplace,
-    audit_privacy_laplace_lattice,
     default_audit_report,
     error_summary,
     fit_loglog_slope,
@@ -17,7 +16,8 @@ from ldpgauss.harness import (
 )
 from ldpgauss.numerics import TrialStreams, hash_u64, uniform_block
 from ldpgauss.protocols import ConfigError
-from ldpgauss.randomizers import LatticeSpec
+from ldpgauss.randomizers import LatticeSpec, one_round_uv_rr2_log_density, uv_rr2_log_density
+from oracles import discrete_audit_ratio
 
 
 def kv2_spec(**overrides):
@@ -132,19 +132,48 @@ class TestDiscreteAudit:
         with pytest.raises(ValueError):
             audit_privacy_discrete("rr1", math.inf, [0.0], {"level_j": 0})
 
+    def test_unknown_randomizer_rejected(self):
+        with pytest.raises(ValueError, match="unknown discrete randomizer"):
+            audit_privacy_discrete("rr3", 1.0, [0.0], {})
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 2.0, math.log(3.0), 7.5])
+    @pytest.mark.parametrize("name,params", [
+        ("rr1", {"level_j": 0}),
+        ("rr1", {"level_j": -3}),
+        ("kv_rr2", {"mu_hat1": 0.3, "sigma": 1.0}),
+        ("one_round_kv_rr2", {"lattice": LatticeSpec(0.7, 3.0), "sigma": 1.0}),
+    ])
+    def test_grid_law_matches_closed_form_per_input(self, eps, name, params):
+        # the law of the whole grid from the kernels' array maps gives the
+        # ratio of the closed-form laws of one input at a time, bit for bit
+        grid = list(np.linspace(-10.0, 10.0, 41)) + [0.35, 1.5 - 2.0 ** -40, -0.125]
+        assert audit_privacy_discrete(name, eps, grid, params) == discrete_audit_ratio(
+            name, eps, grid, params)
+
+
+def clamped(eps, lo, hi):
+    """uv_rr2's log-density as a function of (x, y)."""
+    return lambda x, y: uv_rr2_log_density(eps, lo, hi, x, y)
+
 
 class TestLaplaceAudit:
     def test_same_input_zero_ratio(self):
-        assert audit_privacy_laplace(1.0, (0.0, 1.0), [(0.3, 0.3)], [0.0, 0.5, 2.0]) == 0.0
+        got = audit_privacy_laplace(1.0, clamped(1.0, 0.0, 1.0), [(0.3, 0.3)], [0.0, 0.5, 2.0])
+        assert got == 0.0
 
     def test_opposite_endpoints_saturate_eps(self):
         # y beyond an endpoint sees the full sensitivity |I|.
-        got = audit_privacy_laplace(1.7, (0.0, 1.0), [(0.0, 1.0)], [-3.0, 0.0, 1.0, 5.0])
+        got = audit_privacy_laplace(
+            1.7, clamped(1.7, 0.0, 1.0), [(0.0, 1.0)], [-3.0, 0.0, 1.0, 5.0])
         assert got == pytest.approx(1.7, abs=1e-12)
 
     def test_clamping_collision_zero_ratio(self):
-        got = audit_privacy_laplace(1.0, (0.0, 1.0), [(5.0, 99.0)], [0.2, 1.4])
+        got = audit_privacy_laplace(1.0, clamped(1.0, 0.0, 1.0), [(5.0, 99.0)], [0.2, 1.4])
         assert got == 0.0
+
+    def test_infinite_eps_rejected(self):
+        with pytest.raises(ValueError, match="finite positive eps"):
+            audit_privacy_laplace(math.inf, clamped(1.0, 0.0, 1.0), [(0.0, 1.0)], [0.0])
 
     def test_lattice_variant_stays_below_eps(self):
         lattice = LatticeSpec(0.0, 4.0)
@@ -153,7 +182,11 @@ class TestLaplaceAudit:
         # only approaches opposite half-spacings: the doubled noise scale
         # keeps the log ratio strictly below eps/2.
         pairs.append((2.0, -2.0 + 1e-9))
-        got = audit_privacy_laplace_lattice(2.0, lattice, 2.0 * lattice.spacing, pairs, np.linspace(-8, 8, 17))
+        got = audit_privacy_laplace(
+            2.0,
+            lambda x, y: one_round_uv_rr2_log_density(2.0, lattice, 2.0 * lattice.spacing, x, y),
+            pairs, np.linspace(-8, 8, 17),
+        )
         assert got <= 1.0 + 1e-12
         assert got == pytest.approx(1.0, abs=1e-6)
 

@@ -23,7 +23,7 @@ from ldpgauss.protocols import (
     replay_analyst,
 )
 from ldpgauss.protocols import RUNNERS
-from oracles import kv_rr2, reference_dumps, reference_run, rr1, sample_gaussian
+from oracles import kv_rr2, reference_dumps, reference_run, rr1, sample_gaussian, stream
 
 
 def make_config(protocol, n=2 ** 14, eps=1.0, mu=10.0, sigma=1.0, seed=3, **kwargs):
@@ -119,12 +119,25 @@ class TestPlanPartition:
         b = plan_partition(make_config("uv1", sigma=3.0), "uv1")
         assert a == b
 
-    def test_proof_constants_mode_demands_far_more_users(self):
-        with pytest.raises(ConfigError):
-            plan_partition(make_config("kv2", n=2 ** 14, proof_constants=True), "kv2")
-        plan = plan_partition(make_config("kv2", n=2 ** 21, proof_constants=True), "kv2")
-        assert plan.k1 >= 5000
-        assert plan.k1 > 100 * make_config("kv2", n=2 ** 21).default_level_size()
+    @pytest.mark.parametrize("protocol", ["kv2", "uv2"])
+    def test_k2_without_refinement_subgroups_rejected(self, protocol):
+        config = make_config(protocol, n=4096, k1=256, k2=7, sigma=3.0)
+        with pytest.raises(ConfigError, match="would ignore k2"):
+            plan_partition(config, protocol)
+
+    @pytest.mark.parametrize("protocol,ignored", [
+        ("kv2", "k1"), ("kv1", "k"), ("uv2", "k"), ("uv1", "k"),
+    ])
+    def test_k_beside_k1_rejected(self, protocol, ignored):
+        # e.g. kv1 with k = 100 and k1 = 300 used to plan k1 = 300 silently
+        config = make_config(protocol, n=2 ** 14, k=100, k1=300, sigma=3.0)
+        with pytest.raises(ConfigError, match=f"would ignore {ignored}$"):
+            plan_partition(config, protocol)
+
+    @pytest.mark.parametrize("protocol", ["kv1", "uv1"])
+    def test_k2_read_by_one_round_protocols(self, protocol):
+        plan = plan_partition(make_config(protocol, n=2 ** 14, k1=1024, k2=7, sigma=3.0), protocol)
+        assert plan.k2 == 7
 
 
 class TestKVTwoRound:
@@ -299,15 +312,15 @@ class TestScalarOpsMatchEngine:
         for level_index, j in enumerate(plan.levels):
             users, values = groups[f"level:{j}"]
             for user, value in zip(users, values):
-                stream = streams.stream(int(user))
-                x = sample_gaussian(stream, config.truth.mu, config.truth.sigma)
+                user_stream = stream(streams, int(user))
+                x = sample_gaussian(user_stream, config.truth.mu, config.truth.sigma)
                 assert x == samples[int(user)]
-                assert rr1(stream, config.eps, x, j).value == value
+                assert rr1(user_stream, config.eps, x, j).value == value
         users, values = groups["refine"]
         for user, value in zip(users, values):
-            stream = streams.stream(int(user))
-            x = sample_gaussian(stream, config.truth.mu, config.truth.sigma)
-            rep = kv_rr2(stream, config.eps, x, outcome.mu_hat1, 1.0)
+            user_stream = stream(streams, int(user))
+            x = sample_gaussian(user_stream, config.truth.mu, config.truth.sigma)
+            rep = kv_rr2(user_stream, config.eps, x, outcome.mu_hat1, 1.0)
             assert rep.value == value
 
 

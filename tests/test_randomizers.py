@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpgauss.numerics import RandomStream, uniform_block
+from ldpgauss.numerics import uniform_block
 from ldpgauss.randomizers import (
     LatticeSpec,
     one_round_uv_rr2_values,
     quad_keep_prob,
-    rr1_distribution,
     rr1_values,
     sign_keep_prob,
-    sign_rr_distribution,
     sign_rr_values,
     sign_with_positive_zero,
     uv_rr2_log_density,
@@ -21,11 +19,14 @@ from ldpgauss.randomizers import (
 )
 from oracles import (
     QuadReport,
+    RandomStream,
     SignReport,
     kv_rr2,
     one_round_kv_rr2,
     one_round_uv_rr2,
     rr1,
+    rr1_distribution,
+    sign_rr_distribution,
     uv_rr2,
 )
 
