@@ -10,7 +10,6 @@ subgroup size k, paired bins to 2k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,81 +19,29 @@ class MalformedInputError(ValueError):
     """Input no run can produce: malformed reports, counts or transcripts."""
 
 
-@dataclass(frozen=True)
-class QuadHistogram:
-    """Debiased counts over {0,1,2,3} for one level; bins sum to k."""
+def _debias(eps: float, k: int, counts: Sequence[float], outputs: int) -> np.ndarray:
+    """H_hat(a) = (e^eps+d-1)/(e^eps-1) * (C(a) - k/(e^eps+d-1)), d = outputs.
 
-    level_j: int
-    bins: np.ndarray
-    k: int
-
-    def max_bin(self) -> float:
-        return float(np.max(self.bins))
-
-    def argmax_bin(self) -> int:
-        return int(np.argmax(self.bins))
-
-
-@dataclass(frozen=True)
-class PairedHistogram:
-    """Adjacent-pair sums of a quad histogram; bins sum to 2k."""
-
-    level_j: int
-    bins: np.ndarray
-    k: int
-
-    def min_bin(self) -> float:
-        return float(np.min(self.bins))
-
-
-@dataclass(frozen=True)
-class SignHistogram:
-    """Debiased counts over {-1,+1}, stored as [H(-1), H(+1)]; sums to k."""
-
-    bins: np.ndarray
-    k: int
-
-    @property
-    def minus(self) -> float:
-        return float(self.bins[0])
-
-    @property
-    def plus(self) -> float:
-        return float(self.bins[1])
-
-
-def _quad_debias_factors(eps: float) -> tuple:
-    # (e^eps + 3)/(e^eps - 1) and 1/(e^eps + 3), written to stay finite as
-    # eps grows large (both reduce to 1 and 0 in the no-randomization limit).
+    Written with w = e^-eps to stay finite as eps grows large (the factors
+    reduce to 1 and 0 in the no-randomization limit)."""
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.shape != (outputs,):
+        raise MalformedInputError(f"expected {outputs} counts, got shape {counts.shape}")
     w = math.exp(-eps)
-    return (1.0 + 3.0 * w) / (1.0 - w), w / (1.0 + 3.0 * w)
-
-
-def _sign_debias_factors(eps: float) -> tuple:
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    w = math.exp(-eps)
-    return (1.0 + w) / (1.0 - w), w / (1.0 + w)
+    spread = (outputs - 1) * w
+    return (1.0 + spread) / (1.0 - w) * (counts - k * (w / (1.0 + spread)))
 
 
 def debias_quad_counts(eps: float, k: int, counts: Sequence[float]) -> np.ndarray:
-    """H_hat(a) = (e^eps+3)/(e^eps-1) * (C(a) - k/(e^eps+3)) for a in 0..3."""
-    scale, offset = _quad_debias_factors(eps)
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.shape != (4,):
-        raise MalformedInputError(f"expected 4 quad counts, got shape {counts.shape}")
-    return scale * (counts - k * offset)
+    """Debiased counts over {0,1,2,3}; they sum to k."""
+    return _debias(eps, k, counts, 4)
 
 
 def debias_sign_counts(eps: float, k: int, counts: Sequence[float]) -> np.ndarray:
-    """H_hat(a) = (e^eps+1)/(e^eps-1) * (C(a) - k/(e^eps+1)), a in (-1,+1)."""
-    scale, offset = _sign_debias_factors(eps)
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.shape != (2,):
-        raise MalformedInputError(f"expected 2 sign counts, got shape {counts.shape}")
-    return scale * (counts - k * offset)
+    """Debiased counts as [H(-1), H(+1)]; they sum to k."""
+    return _debias(eps, k, counts, 2)
 
 
 def pair_adjacent_bins(quad_bins: np.ndarray) -> np.ndarray:

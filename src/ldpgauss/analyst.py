@@ -12,12 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Sequence, Tuple
 
-from ldpgauss.aggregation import (
-    MalformedInputError,
-    PairedHistogram,
-    QuadHistogram,
-    SignHistogram,
-)
+import numpy as np
+
+from ldpgauss.aggregation import MalformedInputError
 from ldpgauss.numerics import erf_inv
 from ldpgauss.randomizers import LatticeSpec, sign_keep_prob
 
@@ -95,7 +92,7 @@ def _residue_match(lo: int, hi: int, residue: int):
 def est_mean(
     beta: float,
     eps: float,
-    hists: Dict[int, QuadHistogram],
+    hists: Dict[int, np.ndarray],
     k: int,
     plan: LevelPlan,
 ) -> float:
@@ -121,9 +118,9 @@ def est_mean(
     # interval of the stopping level, not the last narrowing.
     intervals: Dict[int, Tuple[int, int]] = {plan.l_max: (0, 1)}
     j = plan.l_max
-    while j >= plan.l_min and hists[j].max_bin() >= threshold:
+    while j >= plan.l_min and np.max(hists[j]) >= threshold:
         lo, hi = intervals[j]
-        heaviest = hists[j].argmax_bin()
+        heaviest = int(np.argmax(hists[j]))
         c = _residue_match(lo, hi, heaviest)
         if c is None:
             break
@@ -132,7 +129,7 @@ def est_mean(
 
     j_stop = max(j, plan.l_min)
     lo, hi = intervals[j_stop]
-    m1, m2 = _argmax_pair(hists[j_stop].bins)
+    m1, m2 = _argmax_pair(hists[j_stop])
     candidates = [c for c in range(lo, hi + 1) if c % 4 in (m1, m2)]
     # Only the top level (two candidate residues) can fail to match; fall
     # back to the interval's upper point to keep the search total.
@@ -143,7 +140,7 @@ def est_mean(
 def est_var(
     beta: float,
     eps: float,
-    hists: Dict[int, PairedHistogram],
+    hists: Dict[int, np.ndarray],
     k: int,
     plan: LevelPlan,
 ) -> float:
@@ -156,21 +153,20 @@ def est_var(
     """
     _require_levels(hists, plan)
     threshold = 0.03 * k + variance_threshold(eps, k, plan.count, beta)
-    if hists[plan.l_max].min_bin() > threshold:
+    if np.min(hists[plan.l_max]) > threshold:
         return 2.0 ** plan.l_max
     lowest_all_concentrated = plan.l_max
     for j in range(plan.l_max, plan.l_min - 1, -1):
-        if hists[j].min_bin() <= threshold:
+        if np.min(hists[j]) <= threshold:
             lowest_all_concentrated = j
         else:
             break
     return 2.0 ** lowest_all_concentrated
 
 
-def refine_known_sigma(
-    hist: SignHistogram, count: int, center: float, sigma: float
-) -> float:
-    """Refined mean from the sign-response skew around a known center.
+def refine_known_sigma(hist: np.ndarray, count: int, center: float, sigma: float) -> float:
+    """Refined mean from the skew of the debiased sign histogram
+    [H(-1), H(+1)] around a known center.
 
     Converts the debiased skew into a standardized shift via the inverse
     error function and rescales: center + sigma * sqrt(2) * erf_inv(skew),
@@ -178,7 +174,7 @@ def refine_known_sigma(
     """
     if count <= 0:
         raise MalformedInputError(f"report count must be positive, got {count}")
-    skew = (hist.plus - hist.minus) / count
+    skew = float(hist[1] - hist[0]) / count
     return center + sigma * math.sqrt(2.0) * erf_inv(skew)
 
 

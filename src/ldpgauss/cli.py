@@ -113,6 +113,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _file_value_fits(key: str, value) -> bool:
+    """Whether its option can hold a config-file value (null leaves it unset)."""
+    if value is None:
+        return True
+    if key == "protocol":
+        return type(value) is str and value in RUNNERS
+    if key in ("out", "transcript"):
+        return type(value) is str
+    if key == "timing":
+        return type(value) is bool
+    integral = key in ("n", "n_grid", "k", "k1", "k2", "levels", "seed", "trials")
+    numbers = (int,) if integral else (int, float)
+    if key.endswith("_grid"):
+        return type(value) is list and all(type(v) in numbers for v in value)
+    return type(value) in numbers
+
+
 def _merge_config_file(args: argparse.Namespace) -> dict:
     """File values fill in whatever the flags left unset."""
     merged = {k: v for k, v in vars(args).items()}
@@ -128,6 +145,8 @@ def _merge_config_file(args: argparse.Namespace) -> dict:
             key = key.replace("-", "_")
             if key not in merged or key == "command":
                 raise UsageError(f"config file key {key!r} names no option of {args.command}")
+            if not _file_value_fits(key, value):
+                raise UsageError(f"config file key {key!r} cannot hold {value!r}")
             if merged.get(key) is None:
                 merged[key] = value
     return merged

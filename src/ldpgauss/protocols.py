@@ -35,9 +35,6 @@ import numpy as np
 
 from ldpgauss.aggregation import (
     MalformedInputError,
-    PairedHistogram,
-    QuadHistogram,
-    SignHistogram,
     debias_quad_counts,
     debias_sign_counts,
     pair_adjacent_bins,
@@ -162,7 +159,10 @@ class Block(NamedTuple):
     """One item of a plan's block table: users start .. start + count - 1
     each send one `kind` report of subgroup `tag` in `round`. `reach` bounds
     a real report's magnitude; `key` is a level block's level or a refinement
-    subgroup's group key. Kind "broadcast" is the broadcast opening `round`."""
+    subgroup's group key, and `params` its users' randomizer parameters (the
+    level; or the lattice offset, spacing and in uv1 the noise numerator).
+    Kind "broadcast" is the broadcast opening `round`, whose payload gives
+    the round-two blocks their parameters."""
 
     round: int
     tag: str
@@ -171,6 +171,7 @@ class Block(NamedTuple):
     count: int = 0
     reach: float = math.inf
     key: object = None
+    params: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -205,16 +206,6 @@ class PartitionPlan:
         """Users in no block, who are never queried."""
         return self.n - sum(block.count for block in self.blocks)
 
-    def kv1_lattice(self, m: int) -> LatticeSpec:
-        return LatticeSpec(offset=0.2 * self.sigma * m, spacing=self.rho * self.sigma)
-
-    def uv1_lattice(self, level: int, m: int) -> LatticeSpec:
-        scale = 2.0 ** level
-        return LatticeSpec(offset=m * scale, spacing=self.rho * scale)
-
-    def uv1_noise_numerator(self, level: int) -> float:
-        return 2.0 * self.rho * 2.0 ** level
-
     def subgroup_tag(self, key) -> str:
         """Transcript tag of a one-round refinement subgroup."""
         return f"offset:{key}" if self.protocol == "kv1" else f"lattice:{key[0]}:{key[1]}"
@@ -236,6 +227,10 @@ class PartitionPlan:
         return out
 
 
+# The outcome record's fields, in the order its transcript line spells them.
+_OUTCOME_FIELDS = ("protocol", "mu_hat1", "sigma_hat", "mu_hat2")
+
+
 @dataclass(frozen=True)
 class EstimateOutcome:
     protocol: str
@@ -245,12 +240,7 @@ class EstimateOutcome:
     plan_summary: dict = field(default_factory=dict, compare=False)
 
     def as_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "mu_hat1": self.mu_hat1,
-            "sigma_hat": self.sigma_hat,
-            "mu_hat2": self.mu_hat2,
-        }
+        return {name: getattr(self, name) for name in _OUTCOME_FIELDS}
 
 
 def _known_sigma(config: ProtocolConfig) -> float:
@@ -348,21 +338,22 @@ def _block_table(plan: PartitionPlan) -> Tuple[Block, ...]:
     reports, or the one-round refinement subgroups."""
     kind = "sign" if plan.protocol in ("kv2", "kv1") else "real"
     blocks = [
-        Block(1, f"level:{j}", "quad", i * plan.k1, plan.k1, key=j)
+        Block(1, f"level:{j}", "quad", i * plan.k1, plan.k1, key=j, params=(j,))
         for i, j in enumerate(plan.levels)
     ]
     if plan.rounds == 2:
         blocks.append(Block(2, "broadcast", "broadcast"))
         blocks.append(Block(2, "refine", kind, plan.u2_start, plan.n - plan.u2_start))
     for i, key in enumerate(plan.group_keys):
-        reach = math.inf
-        if plan.protocol == "uv1":
-            # a residual within spacing / 2 (spacing allows for rounding),
-            # plus Laplace noise
-            noise = plan.uv1_noise_numerator(key[0]) / plan.eps
-            reach = plan.rho * 2.0 ** key[0] + _LAPLACE_REACH * noise
+        if plan.protocol == "kv1":  # lattice 0.2 sigma m + rho sigma Z
+            params, reach = (0.2 * plan.sigma * key, plan.rho * plan.sigma), math.inf
+        else:  # lattice m 2^j + rho 2^j Z, Laplace noise numerator 2 rho 2^j
+            scale = 2.0 ** key[0]
+            params = (key[1] * scale, plan.rho * scale, 2.0 * plan.rho * scale)
+            # a residual within spacing / 2 (spacing allows for rounding), plus noise
+            reach = params[1] + _LAPLACE_REACH * (params[2] / plan.eps)
         start = plan.u2_start + i * plan.k2
-        blocks.append(Block(1, plan.subgroup_tag(key), kind, start, plan.k2, reach, key))
+        blocks.append(Block(1, plan.subgroup_tag(key), kind, start, plan.k2, reach, key, params))
     return tuple(blocks)
 
 
@@ -548,7 +539,9 @@ class Transcript:
         """Parse what `dumps` writes. Message lines must be spelled exactly as
         it spells them, and are read a run of consecutive lines sharing
         round, subgroup and kind at a time; broadcast and outcome lines are
-        read as JSON. Raises MalformedInputError for anything else."""
+        read as JSON. An outcome, if any, is the last line and holds exactly
+        the fields `EstimateOutcome.as_dict` writes. Raises
+        MalformedInputError for anything else."""
         transcript = cls(protocol, n)
         pending: Optional[list] = None  # [round, subgroup, kind, user arrays, value arrays]
 
@@ -585,11 +578,11 @@ class Transcript:
                 raise _malformed(text, line_pos, "not a JSON object")
             try:
                 if "outcome" in obj:
-                    o = obj["outcome"]
-                    transcript.set_outcome(EstimateOutcome(
-                        protocol=o["protocol"], mu_hat1=o["mu_hat1"],
-                        sigma_hat=o["sigma_hat"], mu_hat2=o["mu_hat2"],
-                    ))
+                    if text[pos:].strip():
+                        raise _malformed(text, line_pos, "a line follows the outcome")
+                    if set(obj) != {"outcome"} or set(obj["outcome"]) != set(_OUTCOME_FIELDS):
+                        raise _malformed(text, line_pos, f"outcome fields are not {_OUTCOME_FIELDS}")
+                    transcript.set_outcome(EstimateOutcome(**obj["outcome"]))
                     continue
                 if "broadcast" in obj:
                     if type(obj["round"]) is not int:
@@ -702,13 +695,9 @@ def _analyze(
     }
     sigma_hat = None
     if plan.protocol in ("uv2", "uv1"):
-        paired = {
-            j: PairedHistogram(level_j=j, bins=pair_adjacent_bins(b), k=plan.k1)
-            for j, b in bins.items()
-        }
+        paired = {j: pair_adjacent_bins(b) for j, b in bins.items()}
         sigma_hat = est_var(plan.beta, plan.eps, paired, plan.k1, plan.level_plan)
-    quads = {j: QuadHistogram(level_j=j, bins=b, k=plan.k1) for j, b in bins.items()}
-    mu1 = est_mean(plan.beta, plan.eps, quads, plan.k1, plan.level_plan)
+    mu1 = est_mean(plan.beta, plan.eps, bins, plan.k1, plan.level_plan)
 
     if plan.rounds == 2:
         if plan.protocol == "kv2":
@@ -731,14 +720,12 @@ def _analyze(
     summary = plan.summary()
     if plan.protocol == "kv2":
         signs = reports["refine"]
-        counts = sign_counts_from_values(signs)
-        hist = SignHistogram(bins=debias_sign_counts(plan.eps, signs.size, counts), k=signs.size)
+        hist = debias_sign_counts(plan.eps, signs.size, sign_counts_from_values(signs))
         mu2 = refine_known_sigma(hist, signs.size, mu1, plan.sigma)
     elif plan.protocol == "kv1":
-        tallies = {
-            m: sign_counts_from_values(reports[plan.subgroup_tag(m)]) for m in plan.group_keys
-        }
-        lattices = {m: plan.kv1_lattice(m) for m in plan.group_keys}
+        refinements = [block for block in plan.blocks if block.kind == "sign"]
+        tallies = {b.key: sign_counts_from_values(reports[b.tag]) for b in refinements}
+        lattices = {b.key: LatticeSpec(*b.params) for b in refinements}
         mu2 = refine_pooled_kv(tallies, lattices, mu1, plan.sigma, plan.eps)
     elif plan.protocol == "uv2":
         mu2 = (2.0 / plan.n) * float(np.sum(reports["refine"]))
@@ -772,25 +759,9 @@ def _runs(blocks):
         yield run
 
 
-def _parameters(plan: PartitionPlan, block: Block) -> tuple:
-    """A message block's public randomizer parameters that vary by block, as
-    scalars: the level, or the refinement lattice's offset and spacing (and
-    in uv1 the noise numerator). Round-two blocks take theirs from the
-    broadcast."""
-    if block.kind == "quad":
-        return (block.key,)
-    if block.key is None:
-        return ()
-    if block.kind == "sign":
-        lattice = plan.kv1_lattice(block.key)
-        return lattice.offset, lattice.spacing
-    lattice = plan.uv1_lattice(*block.key)
-    return lattice.offset, lattice.spacing, plan.uv1_noise_numerator(block.key[0])
-
-
 def _privatize(plan: PartitionPlan, kind: str, x, draws, params: tuple, broadcast):
     """One kernel call: reports of users with samples `x` and draws `draws`,
-    under `params` (_parameters, repeated per user)."""
+    under `params` (a block's params, repeated per user)."""
     if kind == "quad":
         return rr1_values(plan.eps, x, params[0], draws[:, 0], draws[:, 1])
     if kind == "sign":
@@ -829,7 +800,7 @@ def _run(protocol: str, config: ProtocolConfig, samples, streams: TrialStreams):
             counts = [block.count for block in run]
             params = [
                 np.repeat(column, counts)
-                for column in zip(*(_parameters(plan, block) for block in run))
+                for column in zip(*(block.params for block in run))
             ]
             users, x = np.arange(start, stop), samples[start:stop]
             values = np.empty(stop - start, np.float64 if kind == "real" else np.int64)
@@ -893,14 +864,15 @@ def replay_analyst(protocol: str, config: ProtocolConfig, transcript: Transcript
     """Recompute every analyst output from the transcript and public config.
 
     Runs the analyst that live runs use on the recorded transcript. Raises
-    MalformedInputError for transcripts no run could produce, and
-    ReplayMismatch when the recorded broadcast or outcome diverges from the
-    recomputation.
+    MalformedInputError for transcripts no run could produce, an outcome-less
+    one included, and ReplayMismatch when the recorded broadcast or outcome
+    diverges from the recomputation.
     """
+    if transcript.outcome is None:
+        raise MalformedInputError("transcript has no outcome line")
     outcome = _analyze(plan_partition(config, protocol), transcript)
-    if transcript.outcome is not None:
-        for name in ("protocol", "mu_hat1", "sigma_hat", "mu_hat2"):
-            recorded, recomputed = getattr(transcript.outcome, name), getattr(outcome, name)
-            if recorded != recomputed:
-                raise ReplayMismatch(name, recorded, recomputed)
+    for name in _OUTCOME_FIELDS:
+        recorded, recomputed = getattr(transcript.outcome, name), getattr(outcome, name)
+        if recorded != recomputed:
+            raise ReplayMismatch(name, recorded, recomputed)
     return outcome

@@ -32,9 +32,6 @@ import numpy as np
 
 from ldpgauss.aggregation import (
     MalformedInputError,
-    PairedHistogram,
-    QuadHistogram,
-    SignHistogram,
     debias_quad_counts,
     debias_sign_counts,
     pair_adjacent_bins,
@@ -82,21 +79,11 @@ def gaussian_quad_probs(mu: float, sigma: float, j: int) -> np.ndarray:
 
 def noiseless_quad_hists(mu: float, sigma: float, plan: LevelPlan) -> dict:
     """Expected (randomization-free) debiased histograms scaled to k."""
-    return {
-        j: QuadHistogram(level_j=j, bins=plan.k * gaussian_quad_probs(mu, sigma, j), k=plan.k)
-        for j in plan.levels
-    }
+    return {j: plan.k * gaussian_quad_probs(mu, sigma, j) for j in plan.levels}
 
 
 def noiseless_paired_hists(mu: float, sigma: float, plan: LevelPlan) -> dict:
-    return {
-        j: PairedHistogram(
-            level_j=j,
-            bins=pair_adjacent_bins(plan.k * gaussian_quad_probs(mu, sigma, j)),
-            k=plan.k,
-        )
-        for j in plan.levels
-    }
+    return {j: pair_adjacent_bins(plan.k * gaussian_quad_probs(mu, sigma, j)) for j in plan.levels}
 
 
 def lattice_sign_plus_prob(mu: float, offset: float, spacing: float, sigma: float,
@@ -378,35 +365,27 @@ def _group_quad_reports(
 
 def kv_agg1(
     eps: float, k: int, levels: Iterable[int], reports: Iterable[QuadReport]
-) -> Dict[int, QuadHistogram]:
+) -> Dict[int, np.ndarray]:
     """Debias per-level quad counts into unbiased histogram estimates."""
     counts = _group_quad_reports(k, levels, reports)
-    return {
-        j: QuadHistogram(level_j=j, bins=debias_quad_counts(eps, k, c), k=k)
-        for j, c in counts.items()
-    }
+    return {j: debias_quad_counts(eps, k, c) for j, c in counts.items()}
 
 
 def agg1(
     eps: float, k: int, levels: Iterable[int], reports: Iterable[QuadReport]
-) -> Dict[int, PairedHistogram]:
+) -> Dict[int, np.ndarray]:
     """Debias quad counts, then sum adjacent bins (wrapping mod 4)."""
     counts = _group_quad_reports(k, levels, reports)
-    return {
-        j: PairedHistogram(
-            level_j=j, bins=pair_adjacent_bins(debias_quad_counts(eps, k, c)), k=k
-        )
-        for j, c in counts.items()
-    }
+    return {j: pair_adjacent_bins(debias_quad_counts(eps, k, c)) for j, c in counts.items()}
 
 
-def kv_agg2(eps: float, k: int, reports: Iterable[SignReport]) -> SignHistogram:
-    """Debias sign counts into an unbiased two-bin histogram."""
+def kv_agg2(eps: float, k: int, reports: Iterable[SignReport]) -> np.ndarray:
+    """Debias sign counts into an unbiased histogram [H(-1), H(+1)]."""
     values = [rep.value for rep in reports]
     if len(values) != k:
         raise MalformedInputError(f"got {len(values)} sign reports, expected exactly {k}")
     counts = sign_counts_from_values(np.array(values, dtype=np.int64))
-    return SignHistogram(bins=debias_sign_counts(eps, k, counts), k=k)
+    return debias_sign_counts(eps, k, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +440,8 @@ def reference_run(protocol, config, samples, streams):
                 if block.key is None:  # kv2's round two, centered on the broadcast
                     centers = broadcast["mu_hat1"]
                 else:
-                    centers = plan.kv1_lattice(block.key).nearest_points(x)
+                    lattice = LatticeSpec(0.2 * plan.sigma * block.key, plan.rho * plan.sigma)
+                    centers = lattice.nearest_points(x)
                 true_signs = sign_with_positive_zero((x - centers) / plan.sigma)
                 values = sign_rr_values(plan.eps, true_signs, draws[:, 0])
             elif block.key is None:  # uv2's round two, clamped to the broadcast
@@ -469,10 +449,9 @@ def reference_run(protocol, config, samples, streams):
                 values = uv_rr2_values(plan.eps, x, lo, hi, draws[:, 0])
             else:
                 level, m = block.key
-                values = one_round_uv_rr2_values(
-                    plan.eps, x, plan.uv1_lattice(level, m), plan.uv1_noise_numerator(level),
-                    draws[:, 0],
-                )
+                lattice = LatticeSpec(m * 2.0 ** level, plan.rho * 2.0 ** level)
+                numerator = 2.0 * plan.rho * 2.0 ** level
+                values = one_round_uv_rr2_values(plan.eps, x, lattice, numerator, draws[:, 0])
             transcript.add_messages(round_no, block.tag, block.kind, idx, values)
 
     emit(1)

@@ -25,15 +25,15 @@ class TestKVAgg1:
         # eps = ln 3: scale (e+3)/(e-1) = 3, offset k/(e+3) = 1.
         reports = quad_reports(0, [0] * 6)
         hist = kv_agg1(math.log(3.0), 6, [0], reports)[0]
-        np.testing.assert_allclose(hist.bins, [15.0, -3.0, -3.0, -3.0], atol=1e-12)
-        assert hist.bins.sum() == pytest.approx(6.0, abs=1e-9)
+        np.testing.assert_allclose(hist, [15.0, -3.0, -3.0, -3.0], atol=1e-12)
+        assert hist.sum() == pytest.approx(6.0, abs=1e-9)
 
     def test_uniform_profile_is_fixed_point(self):
         # eps = ln 5 makes e^eps + 3 = 8; k = 32 gives integer uniform counts.
         eps, k = math.log(5.0), 32
         values = [0, 1, 2, 3] * 8
         hist = kv_agg1(eps, k, [2], quad_reports(2, values))[2]
-        np.testing.assert_allclose(hist.bins, [8.0, 8.0, 8.0, 8.0], atol=1e-12)
+        np.testing.assert_allclose(hist, [8.0, 8.0, 8.0, 8.0], atol=1e-12)
 
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=200),
            st.floats(min_value=0.05, max_value=6.0))
@@ -41,7 +41,7 @@ class TestKVAgg1:
     def test_sum_identity(self, values, eps):
         k = len(values)
         hist = kv_agg1(eps, k, [1], quad_reports(1, values))[1]
-        assert abs(hist.bins.sum() - k) <= 1e-9 * max(1.0, k)
+        assert abs(hist.sum() - k) <= 1e-9 * max(1.0, k)
 
     def test_wrong_multiplicity_rejected(self):
         with pytest.raises(MalformedInputError):
@@ -58,20 +58,20 @@ class TestAgg1:
     def test_uniform_quad_gives_half_k_pairs(self):
         eps, k = math.log(5.0), 32
         hist = agg1(eps, k, [0], quad_reports(0, [0, 1, 2, 3] * 8))[0]
-        np.testing.assert_allclose(hist.bins, [16.0] * 4, atol=1e-12)
+        np.testing.assert_allclose(hist, [16.0] * 4, atol=1e-12)
 
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=100))
     @settings(max_examples=60)
     def test_paired_sum_is_twice_k(self, values):
         k = len(values)
         hist = agg1(1.0, k, [0], quad_reports(0, values))[0]
-        assert abs(hist.bins.sum() - 2.0 * k) <= 1e-9 * max(1.0, k)
+        assert abs(hist.sum() - 2.0 * k) <= 1e-9 * max(1.0, k)
 
     def test_pairs_match_quad_histogram(self):
         values = [0, 0, 1, 3, 2, 2, 2, 1]
         quad = kv_agg1(0.8, len(values), [5], quad_reports(5, values))[5]
         paired = agg1(0.8, len(values), [5], quad_reports(5, values))[5]
-        np.testing.assert_allclose(paired.bins, pair_adjacent_bins(quad.bins), atol=1e-12)
+        np.testing.assert_allclose(paired, pair_adjacent_bins(quad), atol=1e-12)
 
 
 class TestKVAgg2:
@@ -79,14 +79,14 @@ class TestKVAgg2:
         # eps = ln 3: scale 2, offset k/(e+1) = 1; C = (4 pluses, 0 minuses).
         reports = [SignReport(user_id=i, value=1) for i in range(4)]
         hist = kv_agg2(math.log(3.0), 4, reports)
-        assert hist.plus == pytest.approx(6.0, abs=1e-12)
-        assert hist.minus == pytest.approx(-2.0, abs=1e-12)
-        assert hist.bins.sum() == pytest.approx(4.0, abs=1e-9)
+        assert hist[1] == pytest.approx(6.0, abs=1e-12)
+        assert hist[0] == pytest.approx(-2.0, abs=1e-12)
+        assert hist.sum() == pytest.approx(4.0, abs=1e-9)
 
     def test_balanced_counts_fixed_point(self):
         reports = [SignReport(user_id=i, value=1 if i % 2 else -1) for i in range(10)]
         hist = kv_agg2(1.3, 10, reports)
-        np.testing.assert_allclose(hist.bins, [5.0, 5.0], atol=1e-12)
+        np.testing.assert_allclose(hist, [5.0, 5.0], atol=1e-12)
 
     @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=100),
            st.floats(min_value=0.05, max_value=6.0))
@@ -94,7 +94,7 @@ class TestKVAgg2:
     def test_sum_identity(self, values, eps):
         reports = [SignReport(user_id=i, value=v) for i, v in enumerate(values)]
         hist = kv_agg2(eps, len(values), reports)
-        assert abs(hist.bins.sum() - len(values)) <= 1e-9 * max(1.0, len(values))
+        assert abs(hist.sum() - len(values)) <= 1e-9 * max(1.0, len(values))
 
     def test_wrong_count_rejected(self):
         with pytest.raises(MalformedInputError):

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpgauss.aggregation import (
-    MalformedInputError,
-    PairedHistogram,
-    QuadHistogram,
-    SignHistogram,
-)
+from ldpgauss.aggregation import MalformedInputError
 from ldpgauss.analyst import (
     LevelPlan,
     est_mean,
@@ -35,12 +30,8 @@ from oracles import (
 )
 
 
-def quad_hist(j, bins, k):
-    return QuadHistogram(level_j=j, bins=np.asarray(bins, dtype=float), k=k)
-
-
-def paired_hist(j, bins, k):
-    return PairedHistogram(level_j=j, bins=np.asarray(bins, dtype=float), k=k)
+def as_bins(bins):
+    return np.asarray(bins, dtype=float)
 
 
 class TestEstMean:
@@ -51,7 +42,7 @@ class TestEstMean:
         # so the largest matching interval point is 1.
         k = 1000
         plan = LevelPlan(l_min=0, l_max=0, k=k, beta=0.05, eps=1.0)
-        hists = {0: quad_hist(0, [k, 0, 0, 0], k)}
+        hists = {0: as_bins([k, 0, 0, 0])}
         assert est_mean(0.05, 1.0, hists, k, plan) == 1.0
 
     def test_noiseless_zero_mean_within_two_sigma(self):
@@ -86,7 +77,7 @@ class TestEstMean:
     def test_missing_level_rejected(self):
         plan = LevelPlan(l_min=0, l_max=1, k=10, beta=0.05, eps=1.0)
         with pytest.raises(MalformedInputError):
-            est_mean(0.05, 1.0, {0: quad_hist(0, [10, 0, 0, 0], 10)}, 10, plan)
+            est_mean(0.05, 1.0, {0: as_bins([10, 0, 0, 0])}, 10, plan)
 
     def test_unconcentrated_top_stops_immediately(self):
         # Max bin below 0.52k + psi: the search never descends, candidates
@@ -94,7 +85,7 @@ class TestEstMean:
         k = 1000
         plan = LevelPlan(l_min=0, l_max=3, k=k, beta=0.05, eps=1.0)
         flat = [k / 4.0] * 4
-        hists = {j: quad_hist(j, flat, k) for j in plan.levels}
+        hists = {j: as_bins(flat) for j in plan.levels}
         got = est_mean(0.05, 1.0, hists, k, plan)
         assert got in (0.0, 2.0 ** 3)
 
@@ -113,7 +104,7 @@ class TestEstVar:
     def test_every_level_concentrated_returns_bottom_scale(self):
         k = 1000
         plan = LevelPlan(l_min=-2, l_max=4, k=k, beta=0.05, eps=1.0)
-        hists = {j: paired_hist(j, [2 * k, 2 * k, 0.0, 0.0], k) for j in plan.levels}
+        hists = {j: as_bins([2 * k, 2 * k, 0.0, 0.0]) for j in plan.levels}
         assert est_var(0.05, 1.0, hists, k, plan) == 2.0 ** -2
 
     def test_unconcentrated_top_returns_top_scale(self):
@@ -121,7 +112,7 @@ class TestEstVar:
         plan = LevelPlan(l_min=0, l_max=4, k=k, beta=0.05, eps=1.0)
         threshold = 0.03 * k + variance_threshold(1.0, k, plan.count, 0.05)
         assert k / 2.0 > threshold  # flat histograms are genuinely unconcentrated
-        hists = {j: paired_hist(j, [k / 2.0] * 4, k) for j in plan.levels}
+        hists = {j: as_bins([k / 2.0] * 4) for j in plan.levels}
         assert est_var(0.05, 1.0, hists, k, plan) == 2.0 ** 4
 
     def test_transition_level_wins(self):
@@ -130,7 +121,7 @@ class TestEstVar:
         hists = {}
         for j in plan.levels:
             bins = [2 * k, 2 * k, 0.0, 0.0] if j >= 2 else [k / 2.0] * 4
-            hists[j] = paired_hist(j, bins, k)
+            hists[j] = as_bins(bins)
         assert est_var(0.05, 1.0, hists, k, plan) == 4.0
 
     def test_noiseless_sigma_bracketing(self):
@@ -151,17 +142,17 @@ class TestEstVar:
 
 class TestRefineKnownSigma:
     def test_balanced_histogram_returns_center(self):
-        hist = SignHistogram(bins=np.array([50.0, 50.0]), k=100)
+        hist = np.array([50.0, 50.0])
         assert refine_known_sigma(hist, 100, center=7.5, sigma=2.0) == 7.5
 
     def test_erf_roundtrip_argument(self):
         target = math.erf(1.0)
-        hist = SignHistogram(bins=np.array([(1 - target) * 50, (1 + target) * 50]), k=100)
+        hist = np.array([(1 - target) * 50, (1 + target) * 50])
         got = refine_known_sigma(hist, 100, center=3.0, sigma=2.0)
         assert got == pytest.approx(3.0 + 2.0 * math.sqrt(2.0), abs=1e-9)
 
     def test_zero_count_rejected(self):
-        hist = SignHistogram(bins=np.array([0.0, 0.0]), k=0)
+        hist = np.array([0.0, 0.0])
         with pytest.raises(MalformedInputError):
             refine_known_sigma(hist, 0, 0.0, 1.0)
 
@@ -171,13 +162,13 @@ class TestRefineKnownSigma:
     )
     @settings(max_examples=200)
     def test_translation_equivariance(self, center, delta):
-        hist = SignHistogram(bins=np.array([30.0, 70.0]), k=100)
+        hist = np.array([30.0, 70.0])
         base = refine_known_sigma(hist, 100, center, 1.5)
         shifted = refine_known_sigma(hist, 100, center + delta, 1.5)
         assert shifted == pytest.approx(base + delta, rel=1e-12, abs=1e-9)
 
     def test_out_of_range_skew_saturates(self):
-        hist = SignHistogram(bins=np.array([-20.0, 120.0]), k=100)
+        hist = np.array([-20.0, 120.0])
         got = refine_known_sigma(hist, 100, 0.0, 1.0)
         assert math.isfinite(got)
 

@@ -117,6 +117,35 @@ class TestSimulate:
         assert cli.main(simulate_args(tmp_path) + ["--config", str(path)]) == 2
         assert "levles" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("simulate", "eps", "1"),
+        ("simulate", "n", "4096"),
+        ("simulate", "n", 4096.0),
+        ("simulate", "k", 256.5),
+        ("sweep", "n_grid", "4096,8192"),
+    ])
+    def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, command, key, value):
+        config = {
+            "protocol": "kv2", "n": 4096, "eps": 1.0, "mu": 10.0, "sigma": 1.0,
+            "k": 256, "trials": 1, "out": str(tmp_path),
+        }
+        if command == "sweep":
+            config["n_grid"] = [4096, 8192]
+        config[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert f"config file key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_config_grid_as_a_json_list(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_grid": [4096, 8192], "eps_grid": [0.5, 1]}))
+        args = ["sweep", "--config", str(path), "--protocol", "kv2", "--mu", "10", "--sigma", "1",
+                "--k", "256", "--trials", "1", "--out", str(tmp_path)]
+        assert cli.main(args) == 0
+        assert len((tmp_path / "results.csv").read_text().splitlines()) == 1 + 4
+
     def test_zero_levels_exits_2(self, tmp_path, capsys):
         args = simulate_args(tmp_path)
         args[args.index("--k"):args.index("--k") + 2] = ["--levels", "0"]
@@ -222,6 +251,12 @@ class TestAudit:
 
     def test_zero_eps_exits_2(self):
         assert cli.main(["audit", "--eps", "0"]) == 2
+
+    def test_large_eps_rounding_is_not_a_violation(self, capsys):
+        # rr1's ratio at eps = 10 misses e^10 by a relative 3e-13 of rounding
+        assert cli.main(["audit", "--eps", "10"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5 and all(line.startswith("ok ") for line in lines)
 
 
 class TestReplay:

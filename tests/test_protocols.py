@@ -23,6 +23,7 @@ from ldpgauss.protocols import (
     replay_analyst,
 )
 from ldpgauss.protocols import RUNNERS
+from ldpgauss.randomizers import LatticeSpec
 from oracles import kv_rr2, reference_dumps, reference_run, rr1, sample_gaussian, stream
 
 
@@ -96,6 +97,36 @@ class TestPlanPartition:
                 seen[np.arange(block.start, block.start + block.count)] += 1
             assert seen.max() <= 1
             assert (seen == 0).sum() == plan.discarded
+
+    @pytest.mark.parametrize("protocol", ["kv2", "kv1", "uv2", "uv1"])
+    def test_block_params_follow_the_papers_formulas(self, protocol):
+        # level blocks: the level j; kv1 subgroup m: the lattice 0.2 sigma m +
+        # rho sigma Z with rho = ceil(2 sqrt(ln 4n)); uv1 subgroup (j, m): the
+        # lattice m 2^j + rho 2^j Z with rho = ceil(sqrt(ln 4n) + 6), Laplace
+        # numerator 2 rho 2^j, and reach spacing + 40 numerator / eps
+        n, eps, sigma = 2 ** 16, 0.75, 1.5
+        config = make_config(protocol, n=n, eps=eps, sigma=sigma, k1=2048)
+        plan = plan_partition(config, protocol)
+        refinements = []
+        for block in plan.blocks:
+            if block.kind == "quad":
+                assert block.params == (block.key,) and block.tag == f"level:{block.key}"
+            elif block.key is None:  # the broadcast and the round-two block
+                assert block.params == ()
+            else:
+                refinements.append(block)
+        assert [block.key for block in refinements] == list(plan.group_keys)
+        for block in refinements:
+            if protocol == "kv1":
+                rho = math.ceil(2.0 * math.sqrt(math.log(4.0 * n)))
+                assert block.params == (0.2 * sigma * block.key, rho * sigma)
+            else:
+                j, m = block.key
+                rho = math.ceil(math.sqrt(math.log(4.0 * n)) + 6.0)
+                offset, spacing, numerator = block.params
+                assert (offset, spacing, numerator) == (m * 2.0 ** j, rho * 2.0 ** j, 2 * rho * 2.0 ** j)
+                assert block.reach == spacing + 40.0 * (numerator / eps)
+        assert bool(refinements) == (protocol in ("kv1", "uv1"))
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
@@ -195,8 +226,10 @@ class TestKVOneRound:
         config = make_config("kv1", k1=512)
         outcome, transcript = run_once("kv1", config)
         plan = plan_partition(config, "kv1")
+        sigma = config.variance_mode.sigma
         distance = {
-            m: abs(plan.kv1_lattice(m).nearest_point(outcome.mu_hat1) - outcome.mu_hat1)
+            m: abs(LatticeSpec(0.2 * sigma * m, plan.rho * sigma).nearest_point(outcome.mu_hat1)
+                   - outcome.mu_hat1)
             for m in plan.group_keys
         }
         nearest = min(plan.group_keys, key=distance.__getitem__)
@@ -406,6 +439,10 @@ class TestTranscriptAndReplay:
         ("kv2", dict(k=512), "value true for each +1 sign"),
         ("kv2", dict(k=512), "a message line with default separators"),
         ("kv2", dict(k=512), "broadcast round 2.0"),
+        ("kv2", dict(k=512), "outcome line deleted"),
+        ("kv2", dict(k=512), "outcome line moved to the top"),
+        ("kv2", dict(k=512), "wrong outcome line before the real one"),
+        ("kv2", dict(k=512), "outcome with an extra note"),
     ])
     def test_transcript_no_run_could_produce_rejected(self, protocol, kwargs, edit):
         config = make_config(protocol, **kwargs)
@@ -477,6 +514,12 @@ class TestTranscriptAndReplay:
                 for obj in lines],
             "broadcast round 2.0": lambda: [
                 dict(obj, round=2.0) if "broadcast" in obj else obj for obj in lines],
+            "outcome line deleted": lambda: lines[:-1],
+            "outcome line moved to the top": lambda: lines[-1:] + lines[:-1],
+            "wrong outcome line before the real one": lambda: lines[:-1] + [{"outcome": dict(
+                lines[-1]["outcome"], mu_hat2=lines[-1]["outcome"]["mu_hat2"] + 1.0)}] + lines[-1:],
+            "outcome with an extra note": lambda: lines[:-1] + [{"outcome": dict(
+                lines[-1]["outcome"], note="edited")}],
             # a str stands for a line already spelled
             "a message line with default separators": lambda: [json.dumps(lines[0])] + lines[1:],
         }
