@@ -12,15 +12,12 @@ from ldpgauss.protocols import (
     EstimateOutcome,
     KnownSigma,
     ProtocolConfig,
+    RUNNERS,
     ReplayMismatch,
     SimulationTruth,
     Transcript,
     plan_partition,
     replay_analyst,
-    run_kv_one_round,
-    run_kv_two_round,
-    run_uv_one_round,
-    run_uv_two_round,
 )
 
 __all__ = [
@@ -29,6 +26,7 @@ __all__ = [
     "EstimateOutcome",
     "KnownSigma",
     "ProtocolConfig",
+    "RUNNERS",
     "ReplayMismatch",
     "SimulationTruth",
     "Transcript",
@@ -36,10 +34,6 @@ __all__ = [
     "erf_inv",
     "plan_partition",
     "replay_analyst",
-    "run_kv_one_round",
-    "run_kv_two_round",
-    "run_uv_one_round",
-    "run_uv_two_round",
 ]
 
 __version__ = "0.1.0"

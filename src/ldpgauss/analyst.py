@@ -153,8 +153,6 @@ def est_var(
     """
     _require_levels(hists, plan)
     threshold = 0.03 * k + variance_threshold(eps, k, plan.count, beta)
-    if np.min(hists[plan.l_max]) > threshold:
-        return 2.0 ** plan.l_max
     lowest_all_concentrated = plan.l_max
     for j in range(plan.l_max, plan.l_min - 1, -1):
         if np.min(hists[j]) <= threshold:

@@ -43,10 +43,6 @@ from ldpgauss.randomizers import (
     uv_rr2_log_density,
 )
 
-DISCRETE_RANDOMIZERS = ("rr1", "kv_rr2", "one_round_kv_rr2")
-CONTINUOUS_RANDOMIZERS = ("uv_rr2", "one_round_uv_rr2")
-
-
 def sample_population(truth: SimulationTruth, n: int, streams: TrialStreams) -> np.ndarray:
     """Draw each user's sample from their own stream (columns 0 and 1)."""
     draws = streams.matrix(np.arange(n), first=0, count=2)
@@ -243,8 +239,8 @@ def run_trials(spec: ExperimentSpec, *, transcript_path=None) -> List[TrialStats
 
 def fit_loglog_slope(n_values: Sequence[int], medians: Sequence[float]) -> Optional[float]:
     """Least-squares slope of log median error against log n; None if a
-    single point or a degenerate median makes the fit meaningless."""
-    if len(n_values) < 2 or any(m <= 0.0 for m in medians):
+    single distinct n or a degenerate median makes the fit meaningless."""
+    if len(set(n_values)) < 2 or any(m <= 0.0 for m in medians):
         return None
     slope, _ = np.polyfit(np.log(np.asarray(n_values, float)), np.log(np.asarray(medians)), 1)
     return float(slope)

@@ -25,6 +25,7 @@ block for block.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -60,6 +61,11 @@ from ldpgauss.randomizers import (
     uv_rr2_values,
 )
 
+# The paper's four protocols; RUNNERS maps each id to its runner.
+#   kv2: known sigma, 2 rounds, centered sign responses + inverse erf
+#   kv1: known sigma, 1 round, staggered-lattice signs, pooled MLE
+#   uv2: sigma in [s_min, s_max], 2 rounds, clamp to interval + Laplace noise
+#   uv1: sigma in [s_min, s_max], 1 round, lattice residuals + Laplace noise
 PROTOCOLS = ("kv2", "kv1", "uv2", "uv1")
 
 # 2^level must stay a normal double; beyond this the config is nonsense.
@@ -467,9 +473,6 @@ class Transcript:
     def add_broadcast(self, round_no: int, payload: dict) -> None:
         self._items.append(("broadcast", round_no, dict(payload)))
 
-    def set_outcome(self, outcome: EstimateOutcome) -> None:
-        self.outcome = outcome
-
     @property
     def message_count(self) -> int:
         return sum(item[4].shape[0] for item in self._items if item[0] == "messages")
@@ -539,9 +542,10 @@ class Transcript:
         """Parse what `dumps` writes. Message lines must be spelled exactly as
         it spells them, and are read a run of consecutive lines sharing
         round, subgroup and kind at a time; broadcast and outcome lines are
-        read as JSON. An outcome, if any, is the last line and holds exactly
-        the fields `EstimateOutcome.as_dict` writes. Raises
-        MalformedInputError for anything else."""
+        read as JSON. A broadcast line is spelled as written: the keys round
+        (an integer) then broadcast (an object). An outcome, if any, is the
+        last line and holds exactly the fields `EstimateOutcome.as_dict`
+        writes. Raises MalformedInputError for anything else."""
         transcript = cls(protocol, n)
         pending: Optional[list] = None  # [round, subgroup, kind, user arrays, value arrays]
 
@@ -582,11 +586,12 @@ class Transcript:
                         raise _malformed(text, line_pos, "a line follows the outcome")
                     if set(obj) != {"outcome"} or set(obj["outcome"]) != set(_OUTCOME_FIELDS):
                         raise _malformed(text, line_pos, f"outcome fields are not {_OUTCOME_FIELDS}")
-                    transcript.set_outcome(EstimateOutcome(**obj["outcome"]))
+                    transcript.outcome = EstimateOutcome(**obj["outcome"])
                     continue
                 if "broadcast" in obj:
-                    if type(obj["round"]) is not int:
-                        raise _malformed(text, line_pos, f"round {obj['round']!r} not an integer")
+                    if (list(obj) != ["round", "broadcast"] or type(obj["round"]) is not int
+                            or type(obj["broadcast"]) is not dict or _json_line(obj) != raw + "\n"):
+                        raise _malformed(text, line_pos, "broadcast line not as written")
                     transcript.add_broadcast(obj["round"], obj["broadcast"])
                     continue
             except (KeyError, TypeError) as exc:
@@ -815,49 +820,11 @@ def _run(protocol: str, config: ProtocolConfig, samples, streams: TrialStreams):
 
     emit(1)
     outcome = _analyze(plan, transcript, lambda broadcast: emit(2, broadcast))
-    transcript.set_outcome(outcome)
+    transcript.outcome = outcome
     return outcome, transcript
 
 
-def run_kv_two_round(
-    config: ProtocolConfig, samples, streams: TrialStreams
-) -> Tuple[EstimateOutcome, Transcript]:
-    """Known variance, two rounds: level search, then centered sign reports."""
-    return _run("kv2", config, samples, streams)
-
-
-def run_kv_one_round(
-    config: ProtocolConfig, samples, streams: TrialStreams
-) -> Tuple[EstimateOutcome, Transcript]:
-    """Known variance, one round: every message is sent before any analyst
-    computation; the refinement subgroups center on staggered lattices and
-    the analyst pools all of them into one maximum-likelihood estimate
-    within a lattice period of its rough estimate."""
-    return _run("kv1", config, samples, streams)
-
-
-def run_uv_two_round(
-    config: ProtocolConfig, samples, streams: TrialStreams
-) -> Tuple[EstimateOutcome, Transcript]:
-    """Bounded variance, two rounds: one level round feeds both the scale
-    bracket and the rough mean, then clamped noisy values are averaged."""
-    return _run("uv2", config, samples, streams)
-
-
-def run_uv_one_round(
-    config: ProtocolConfig, samples, streams: TrialStreams
-) -> Tuple[EstimateOutcome, Transcript]:
-    """Bounded variance, one round: refinement subgroups cover every
-    (scale, offset) pair so the analyst can pick the right one afterwards."""
-    return _run("uv1", config, samples, streams)
-
-
-RUNNERS = {
-    "kv2": run_kv_two_round,
-    "kv1": run_kv_one_round,
-    "uv2": run_uv_two_round,
-    "uv1": run_uv_one_round,
-}
+RUNNERS = {protocol: functools.partial(_run, protocol) for protocol in PROTOCOLS}
 
 
 def replay_analyst(protocol: str, config: ProtocolConfig, transcript: Transcript) -> EstimateOutcome:

@@ -456,5 +456,5 @@ def reference_run(protocol, config, samples, streams):
 
     emit(1)
     outcome = _analyze(plan, transcript, lambda broadcast: emit(2, broadcast))
-    transcript.set_outcome(outcome)
+    transcript.outcome = outcome
     return outcome, transcript

@@ -193,15 +193,20 @@ class TestSweep:
         summary = (tmp_path / "summary.csv").read_text().splitlines()
         assert len(summary) == 1 + 2
 
-    def test_single_cell_slope_absent(self, tmp_path, capsys):
+    @pytest.mark.parametrize("grid", [
+        ["--n-grid", "4096"], ["--n-grid", "4096,4096"], ["--n", "4096", "--eps-grid", "1,1"],
+    ])
+    def test_single_cell_slope_absent(self, tmp_path, capsys, grid):
         args = [
-            "sweep", "--protocol", "kv2", "--n-grid", "4096", "--eps", "1",
-            "--mu", "10", "--sigma", "1", "--k", "256", "--trials", "2",
-            "--out", str(tmp_path),
+            "sweep", "--protocol", "kv2", *grid, "--eps", "1", "--mu", "10", "--sigma", "1",
+            "--k", "256", "--trials", "2", "--out", str(tmp_path),
         ]
         assert cli.main(args) == 0
-        assert "slope eps=1.0 mu=10.0 sigma=1.0: absent" in capsys.readouterr().out
-
+        out = capsys.readouterr().out
+        assert "slope_vs_n" not in out
+        assert "slope eps=1.0 mu=10.0 sigma=1.0: absent" in out
+        rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+        assert {row.rsplit(",", 1)[1] for row in rows} == {""}
 
     def test_sigma_grid_without_scalar_sigma(self, tmp_path):
         args = [

@@ -205,3 +205,4 @@ class TestSlopeFit:
 
     def test_single_point_absent(self):
         assert fit_loglog_slope([1000], [0.1]) is None
+        assert fit_loglog_slope([1000, 1000], [0.1, 0.05]) is None

@@ -428,6 +428,10 @@ class TestTranscriptAndReplay:
         ("kv2", dict(k=512), "line not an object"),
         ("kv2", dict(k=512), "outcome without mu_hat2"),
         ("kv2", dict(k=512), "broadcast not an object"),
+        ("kv2", dict(k=512), "broadcast payload a string"),
+        ("kv2", dict(k=512), "broadcast payload as a list of pairs"),
+        ("kv2", dict(k=512), "broadcast with an extra note"),
+        ("kv2", dict(k=512), "a broadcast line with default separators"),
         ("kv1", dict(k1=512), "unplanned subgroup"),
         ("kv2", dict(k=512), "users swapped between two level blocks"),
         ("kv2", dict(k=512), "level user swapped with a refine user"),
@@ -494,6 +498,13 @@ class TestTranscriptAndReplay:
                 k: v for k, v in lines[-1]["outcome"].items() if k != "mu_hat2"}}],
             "broadcast not an object": lambda: [
                 dict(obj, broadcast=[1, 2]) if "broadcast" in obj else obj for obj in lines],
+            "broadcast payload a string": lambda: [
+                dict(obj, broadcast="x") if "broadcast" in obj else obj for obj in lines],
+            "broadcast payload as a list of pairs": lambda: [
+                dict(obj, broadcast=[list(pair) for pair in obj["broadcast"].items()])
+                if "broadcast" in obj else obj for obj in lines],
+            "broadcast with an extra note": lambda: [
+                dict(obj, note=1) if "broadcast" in obj else obj for obj in lines],
             "unplanned subgroup": lambda: lines[:-1] + [{
                 "round": 1, "subgroup": "offset:0", "kind": "sign", "value": 1,
                 "user": int(np.setdiff1d(np.arange(config.n), transcript.user_ids())[0]),
@@ -522,6 +533,8 @@ class TestTranscriptAndReplay:
                 lines[-1]["outcome"], note="edited")}],
             # a str stands for a line already spelled
             "a message line with default separators": lambda: [json.dumps(lines[0])] + lines[1:],
+            "a broadcast line with default separators": lambda: [
+                json.dumps(obj) if "broadcast" in obj else obj for obj in lines],
         }
         text = "\n".join(
             obj if isinstance(obj, str) else json.dumps(obj, separators=(",", ":"))
@@ -559,7 +572,7 @@ class TestTranscriptAndReplay:
         transcript.add_broadcast(2, {"interval_lo": -1.5, "interval_hi": 2.5})
         reals = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -1e300, 5e-324, 0.1, 1e16, 1e-5]
         transcript.add_messages(2, "refine", "real", np.arange(8, 8 + len(reals)), np.array(reals))
-        transcript.set_outcome(EstimateOutcome("uv2", 0.5, 2.0, math.inf))
+        transcript.outcome = EstimateOutcome("uv2", 0.5, 2.0, math.inf)
         text = transcript.dumps()
         assert text == reference_dumps(transcript)
         assert ('"value":NaN}' in text and '"value":-Infinity}' in text
