@@ -113,28 +113,23 @@ def est_mean(
     psi = mean_search_threshold(eps, k, plan.count, beta)
     threshold = 0.52 * k + psi
 
-    # Interval at the current level, in units of 2^level: [lo, hi] covers
-    # [lo * 2^j, hi * 2^j]. Kept per level because the final step reads the
-    # interval of the stopping level, not the last narrowing.
-    intervals: Dict[int, Tuple[int, int]] = {plan.l_max: (0, 1)}
+    # Interval at the current level j, in units of 2^j: [lo, hi] covers
+    # [lo * 2^j, hi * 2^j]. The descent stops at l_min at the latest.
+    lo, hi = 0, 1
     j = plan.l_max
-    while j >= plan.l_min and np.max(hists[j]) >= threshold:
-        lo, hi = intervals[j]
-        heaviest = int(np.argmax(hists[j]))
-        c = _residue_match(lo, hi, heaviest)
+    while j > plan.l_min and np.max(hists[j]) >= threshold:
+        c = _residue_match(lo, hi, int(np.argmax(hists[j])))
         if c is None:
             break
-        intervals[j - 1] = (2 * c, 2 * c + 2)
+        lo, hi = 2 * c, 2 * c + 2
         j -= 1
 
-    j_stop = max(j, plan.l_min)
-    lo, hi = intervals[j_stop]
-    m1, m2 = _argmax_pair(hists[j_stop])
+    m1, m2 = _argmax_pair(hists[j])
     candidates = [c for c in range(lo, hi + 1) if c % 4 in (m1, m2)]
     # Only the top level (two candidate residues) can fail to match; fall
     # back to the interval's upper point to keep the search total.
     c_star = max(candidates) if candidates else hi
-    return c_star * 2.0 ** j_stop
+    return c_star * 2.0 ** j
 
 
 def est_var(

@@ -78,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sigma-max", dest="sigma_max", type=float)
         p.add_argument("--k", type=int)
         p.add_argument("--k1", type=int)
-        p.add_argument("--k2", type=int)
         p.add_argument("--levels", dest="levels", type=int,
                        help="size level subgroups for this many levels instead of --k/--k1")
         p.add_argument("--seed", type=int)
@@ -123,7 +122,7 @@ def _file_value_fits(key: str, value) -> bool:
         return type(value) is str
     if key == "timing":
         return type(value) is bool
-    integral = key in ("n", "n_grid", "k", "k1", "k2", "levels", "seed", "trials")
+    integral = key in ("n", "n_grid", "k", "k1", "levels", "seed", "trials")
     numbers = (int,) if integral else (int, float)
     if key.endswith("_grid"):
         return type(value) is list and all(type(v) in numbers for v in value)
@@ -186,7 +185,6 @@ def _spec_from(merged: dict, n_values, eps_values, mu_values, sigma_values) -> E
         sigma_bounds=_variance_args(merged),
         k=merged.get("k"),
         k1=merged.get("k1"),
-        k2=merged.get("k2"),
         levels_target=merged.get("levels"),
     )
 
@@ -303,7 +301,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         mode = BoundedSigma(*bounds)
     config = ProtocolConfig(
         eps=merged["eps"], beta=_beta(merged), n=merged["n"],
-        variance_mode=mode, truth=None, k=merged.get("k"), k2=merged.get("k2"),
+        variance_mode=mode, truth=None, k=merged.get("k"),
         k1=k1_for_levels(merged["n"], merged.get("levels"), merged.get("k"), merged.get("k1")),
     )
     transcript = Transcript.load(merged["transcript"], protocol, config.n)

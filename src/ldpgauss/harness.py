@@ -107,7 +107,6 @@ class ExperimentSpec:
     sigma_bounds: Optional[Tuple[float, float]] = None
     k: Optional[int] = None
     k1: Optional[int] = None
-    k2: Optional[int] = None
     levels_target: Optional[int] = None
 
     def __post_init__(self):
@@ -142,7 +141,7 @@ class ExperimentSpec:
         return ProtocolConfig(
             eps=eps, beta=self.beta, n=n, variance_mode=mode,
             truth=SimulationTruth(mu=mu, sigma=sigma), master_seed=self.master_seed,
-            k=self.k, k1=k1_for_levels(n, self.levels_target, self.k, self.k1), k2=self.k2,
+            k=self.k, k1=k1_for_levels(n, self.levels_target, self.k, self.k1),
         )
 
 

@@ -132,10 +132,10 @@ class ProtocolConfig:
     """Public protocol parameters plus the sealed simulation truth.
 
     Subgroup sizes: k1 sets the level size, and so does k, its name in the
-    two-round known-variance protocol; k2 sets the one-round refinement
-    subgroups. An unset level size falls back to
-    ceil(8 ln(8 max(n,2)/beta) / eps^2). A size the plan would not read (k
-    beside k1, or k2 in a two-round protocol) is a ConfigError.
+    two-round known-variance protocol; setting both is a ConfigError. An
+    unset level size falls back to ceil(8 ln(8 max(n,2)/beta) / eps^2). The
+    one-round refinement subgroups split the second half evenly,
+    floor(n/2 / subgroups) users each, and leftover users are discarded.
     """
 
     eps: float
@@ -146,7 +146,6 @@ class ProtocolConfig:
     master_seed: int = 0
     k: Optional[int] = None
     k1: Optional[int] = None
-    k2: Optional[int] = None
 
     def __post_init__(self):
         if not self.eps > 0.0:
@@ -272,13 +271,10 @@ def plan_partition(config: ProtocolConfig, protocol: str) -> PartitionPlan:
     n, eps, beta = config.n, config.eps, config.beta
     half = n // 2
 
-    # k and k1 name the same level size for a protocol, and k2 exists only
-    # in the one-round ones; a size the plan would drop is an error
+    # k and k1 name the same level size for a protocol; the plan reads one
     if config.k is not None and config.k1 is not None:
         ignored = "k1" if protocol == "kv2" else "k"
         raise ConfigError(f"{protocol} takes k or k1, not both; it would ignore {ignored}")
-    if config.k2 is not None and protocol in ("kv2", "uv2"):
-        raise ConfigError(f"{protocol} has no refinement subgroups; it would ignore k2")
     k1 = next((size for size in (config.k, config.k1) if size is not None),
               config.default_level_size())
     if k1 < 1:
@@ -321,15 +317,10 @@ def plan_partition(config: ProtocolConfig, protocol: str) -> PartitionPlan:
         rho = math.ceil(math.sqrt(math.log(4.0 * n)) + 6.0)
         group_keys = tuple((j, m) for j in level_plan.levels for m in range(1, rho + 1))
     if group_keys:
-        k2 = config.k2 if config.k2 is not None else half // len(group_keys)
+        k2 = half // len(group_keys)
         if k2 < 1:
             raise ConfigError(
                 f"n = {n} cannot fill {len(group_keys)} refinement subgroups; raise n"
-            )
-        if len(group_keys) * k2 > half:
-            raise ConfigError(
-                f"k2 = {k2} over {len(group_keys)} subgroups exceeds the {half} "
-                f"second-half users"
             )
     plan = PartitionPlan(
         protocol=protocol, n=n, eps=eps, beta=beta, k1=k1, level_plan=level_plan,
@@ -397,6 +388,23 @@ _RUN = {
 
 def _json_line(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def _as_written(obj) -> dict:
+    """A broadcast or outcome line's object rebuilt with the types the writer
+    gives it: an int round and float payload values; a str protocol, float
+    estimates and a float-or-null sigma_hat. KeyError, TypeError, ValueError
+    or OverflowError when no rebuilding fits."""
+    if "outcome" not in obj:
+        payload = dict(obj["broadcast"])
+        return {"round": int(obj["round"]), "broadcast": {k: float(v) for k, v in payload.items()}}
+    fields = obj["outcome"]
+    sigma_hat = fields["sigma_hat"]
+    return {"outcome": {
+        "protocol": str(fields["protocol"]), "mu_hat1": float(fields["mu_hat1"]),
+        "sigma_hat": None if sigma_hat is None else float(sigma_hat),
+        "mu_hat2": float(fields["mu_hat2"]),
+    }}
 
 
 def _spell_ints(array: np.ndarray) -> List[str]:
@@ -541,11 +549,11 @@ class Transcript:
     def loads(cls, text: str, protocol: str, n: int) -> "Transcript":
         """Parse what `dumps` writes. Message lines must be spelled exactly as
         it spells them, and are read a run of consecutive lines sharing
-        round, subgroup and kind at a time; broadcast and outcome lines are
-        read as JSON. A broadcast line is spelled as written: the keys round
-        (an integer) then broadcast (an object). An outcome, if any, is the
-        last line and holds exactly the fields `EstimateOutcome.as_dict`
-        writes. Raises MalformedInputError for anything else."""
+        round, subgroup and kind at a time. Any other line is a broadcast or
+        an outcome: read as JSON, rebuilt with the writer's types
+        (`_as_written`), and spelled as the writer spells that. An outcome,
+        if any, is the last line. Raises MalformedInputError for anything
+        else."""
         transcript = cls(protocol, n)
         pending: Optional[list] = None  # [round, subgroup, kind, user arrays, value arrays]
 
@@ -574,29 +582,18 @@ class Transcript:
                 continue
             flush()
             pending = None
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise _malformed(text, line_pos, f"not valid JSON ({exc})") from exc
-            if not isinstance(obj, dict):
-                raise _malformed(text, line_pos, "not a JSON object")
-            try:
-                if "outcome" in obj:
-                    if text[pos:].strip():
-                        raise _malformed(text, line_pos, "a line follows the outcome")
-                    if set(obj) != {"outcome"} or set(obj["outcome"]) != set(_OUTCOME_FIELDS):
-                        raise _malformed(text, line_pos, f"outcome fields are not {_OUTCOME_FIELDS}")
-                    transcript.outcome = EstimateOutcome(**obj["outcome"])
-                    continue
-                if "broadcast" in obj:
-                    if (list(obj) != ["round", "broadcast"] or type(obj["round"]) is not int
-                            or type(obj["broadcast"]) is not dict or _json_line(obj) != raw + "\n"):
-                        raise _malformed(text, line_pos, "broadcast line not as written")
-                    transcript.add_broadcast(obj["round"], obj["broadcast"])
-                    continue
-            except (KeyError, TypeError) as exc:
-                raise _malformed(text, line_pos, f"bad or missing field {exc}") from exc
-            raise _malformed(text, line_pos, "not a broadcast, an outcome or a message as written")
+            try:  # json.JSONDecodeError is a ValueError; deep nesting recurses
+                item = _as_written(json.loads(raw))
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+                item = None
+            if item is None or _json_line(item) != raw + "\n":
+                raise _malformed(text, line_pos, "not a broadcast, an outcome or a message as written")
+            if "outcome" not in item:
+                transcript.add_broadcast(item["round"], item["broadcast"])
+            elif text[pos:].strip():
+                raise _malformed(text, line_pos, "a line follows the outcome")
+            else:
+                transcript.outcome = EstimateOutcome(**item["outcome"])
         flush()
         return transcript
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -162,11 +163,23 @@ class TestSimulate:
         assert cli.main(simulate_args(tmp_path) + ["--config", str(path)]) == 2
         assert "proof_constants" in capsys.readouterr().err
 
-    def test_size_the_protocol_would_ignore_exits_2(self, tmp_path, capsys):
-        # kv2 has no refinement subgroups, so k2 would be dropped
-        assert cli.main(simulate_args(tmp_path, k2=7)) == 2
-        assert "would ignore k2" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "replay"])
+    def test_k2_flag_is_gone(self, tmp_path, capsys, command):
+        # refinement subgroups split the second half evenly; no size is set
+        if command == "replay":
+            args = ["replay", "--protocol", "kv1", "--n", "4096", "--eps", "1", "--sigma", "1",
+                    "--transcript", str(tmp_path / "t.jsonl"), "--k2", "7"]
+        else:
+            args = [command] + simulate_args(tmp_path, protocol="kv1", k2=7)[1:]
+        assert exit_code(args) == 2
+        assert "--k2" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
+
+    def test_k2_config_key_is_gone(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"k2": 7}))
+        assert cli.main(simulate_args(tmp_path, protocol="kv1") + ["--config", str(path)]) == 2
+        assert "k2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--k", "--k1", "--beta", "--trials"])
     def test_zero_is_a_value_not_unset(self, tmp_path, capsys, flag):
@@ -231,6 +244,40 @@ class TestSweep:
         assert cli.main(args) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
+
+
+# sha256 of (results.csv, summary.csv), as written before the k2 override
+# was deleted: `simulate` at n = 2^12 with 3 trials, and a two-cell kv2 sweep
+GOLDEN_CSV = [
+    ("simulate", "kv2", ["--n", "4096", "--trials", "3"], (
+        "81f9387643252bbe8d6a8b0b024395486415677aaa88afe97b38255f6d9f800b",
+        "9dcbc5566350ddaf21379d43ad3e0cdf5f4a256233d7578ca1ef359b58e1c1e0")),
+    ("simulate", "kv1", ["--n", "4096", "--trials", "3"], (
+        "be19eb65da25b59c8bfaf795f43ae5cb03f39983a668b95f00853758546f4306",
+        "47068e6c4b2ea50f43994f32fb874be4af3b04b408a987b2174ce69ea2bda7a8")),
+    ("simulate", "uv2", ["--n", "4096", "--trials", "3"], (
+        "4f9e81ad947f45c3040555026df2ac3a90d503fc2a1f29da64b12068dd175de9",
+        "bf7618d964cb107caf8f51623f51bdd2deb5db875b314eb0a6498b439d6a1e90")),
+    ("simulate", "uv1", ["--n", "4096", "--trials", "3"], (
+        "333ddf5d4b48f6a3f15f17b28d2dde72cd2f27c90299db416df498a4695645e4",
+        "97a7cb6d9ee58dd45073530f66c5e0f467310aae3267c67c8fb1c6cb08a4f1a8")),
+    ("sweep", "kv2", ["--n-grid", "4096,8192", "--trials", "2"], (
+        "4f0f17592f8f7c351a035083f7dd4897d2e99085020db57491bb2b212e8cd2b8",
+        "9ecb3589b3ee64fca094760348a148ca2330315dc94ee558609fa77babd6724d")),
+]
+
+
+@pytest.mark.parametrize("command,protocol,extra,digests", GOLDEN_CSV,
+                         ids=[f"{command}-{protocol}" for command, protocol, *_ in GOLDEN_CSV])
+def test_golden_csv_digests(tmp_path, command, protocol, extra, digests):
+    sigmas = ["--sigma", "1"] if protocol.startswith("kv") else [
+        "--sigma", "3", "--sigma-min", "2", "--sigma-max", "16"]
+    args = [command, "--protocol", protocol, *extra, "--eps", "1", "--mu", "5", *sigmas,
+            "--levels", "4", "--seed", "7", "--out", str(tmp_path)]
+    assert cli.main(args) == 0
+    got = tuple(hashlib.sha256(read(tmp_path / name)).hexdigest()
+                for name in ("results.csv", "summary.csv"))
+    assert got == digests
 
 
 class TestAudit:

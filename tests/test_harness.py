@@ -93,6 +93,10 @@ class TestRunTrials:
         with pytest.raises(ConfigError):
             kv2_spec(sigma_bounds=(2.0, 16.0))
 
+    def test_spec_sets_no_refinement_subgroup_size(self):
+        with pytest.raises(TypeError):
+            kv2_spec(protocol="kv1", k2=7)
+
     def test_config_error_annotated_with_cell(self):
         spec = kv2_spec(n_values=(64,), k=4096)
         with pytest.raises(ConfigError, match="n=64"):

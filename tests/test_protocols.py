@@ -150,12 +150,6 @@ class TestPlanPartition:
         b = plan_partition(make_config("uv1", sigma=3.0), "uv1")
         assert a == b
 
-    @pytest.mark.parametrize("protocol", ["kv2", "uv2"])
-    def test_k2_without_refinement_subgroups_rejected(self, protocol):
-        config = make_config(protocol, n=4096, k1=256, k2=7, sigma=3.0)
-        with pytest.raises(ConfigError, match="would ignore k2"):
-            plan_partition(config, protocol)
-
     @pytest.mark.parametrize("protocol,ignored", [
         ("kv2", "k1"), ("kv1", "k"), ("uv2", "k"), ("uv1", "k"),
     ])
@@ -165,10 +159,18 @@ class TestPlanPartition:
         with pytest.raises(ConfigError, match=f"would ignore {ignored}$"):
             plan_partition(config, protocol)
 
-    @pytest.mark.parametrize("protocol", ["kv1", "uv1"])
-    def test_k2_read_by_one_round_protocols(self, protocol):
-        plan = plan_partition(make_config(protocol, n=2 ** 14, k1=1024, k2=7, sigma=3.0), protocol)
-        assert plan.k2 == 7
+    @pytest.mark.parametrize("protocol,k2,discarded", [
+        ("kv2", None, 0), ("kv1", 234, 2), ("uv2", None, 0), ("uv1", 102, 32),
+    ])
+    def test_refinement_subgroups_split_the_second_half(self, protocol, k2, discarded):
+        # no size can be set for them: each takes floor(n/2 / subgroups) users
+        with pytest.raises(TypeError):
+            make_config(protocol, n=2 ** 14, k1=1024, k2=7, sigma=3.0)
+        plan = plan_partition(make_config(protocol, n=2 ** 14, k1=1024, sigma=3.0), protocol)
+        assert plan.k2 == k2
+        if k2 is not None:
+            assert k2 == (2 ** 14 // 2) // len(plan.group_keys)
+        assert plan.discarded == discarded
 
 
 class TestKVTwoRound:
@@ -406,7 +408,7 @@ class TestTranscriptAndReplay:
         public = ProtocolConfig(
             eps=config.eps, beta=config.beta, n=config.n,
             variance_mode=config.variance_mode, truth=None,
-            k=config.k, k1=config.k1, k2=config.k2,
+            k=config.k, k1=config.k1,
         )
         replayed = replay_analyst(protocol, public, Transcript.loads(transcript.dumps(), protocol, config.n))
         for field in dataclasses.fields(outcome):
@@ -447,6 +449,11 @@ class TestTranscriptAndReplay:
         ("kv2", dict(k=512), "outcome line moved to the top"),
         ("kv2", dict(k=512), "wrong outcome line before the real one"),
         ("kv2", dict(k=512), "outcome with an extra note"),
+        ("kv2", dict(k=512), "an outcome line with default separators"),
+        ("kv2", dict(k=512), "outcome keys in reverse order"),
+        ("kv2", dict(k=512), "outcome mu_hat1 spelled as an integer"),
+        ("kv2", dict(k=512), "broadcast mu_hat1 spelled as an integer"),
+        ("kv2", dict(k=512), "a line of deeply nested lists"),
     ])
     def test_transcript_no_run_could_produce_rejected(self, protocol, kwargs, edit):
         config = make_config(protocol, **kwargs)
@@ -531,10 +538,21 @@ class TestTranscriptAndReplay:
                 lines[-1]["outcome"], mu_hat2=lines[-1]["outcome"]["mu_hat2"] + 1.0)}] + lines[-1:],
             "outcome with an extra note": lambda: lines[:-1] + [{"outcome": dict(
                 lines[-1]["outcome"], note="edited")}],
+            # kv2's mu_hat1 is a whole number: c * 2^j with l_min = 0
+            "outcome keys in reverse order": lambda: lines[:-1] + [{"outcome": dict(
+                reversed(lines[-1]["outcome"].items()))}],
+            "outcome mu_hat1 spelled as an integer": lambda: lines[:-1] + [{"outcome": dict(
+                lines[-1]["outcome"], mu_hat1=int(lines[-1]["outcome"]["mu_hat1"]))}],
+            "broadcast mu_hat1 spelled as an integer": lambda: [
+                dict(obj, broadcast={"mu_hat1": int(obj["broadcast"]["mu_hat1"])})
+                if "broadcast" in obj else obj for obj in lines],
             # a str stands for a line already spelled
             "a message line with default separators": lambda: [json.dumps(lines[0])] + lines[1:],
             "a broadcast line with default separators": lambda: [
                 json.dumps(obj) if "broadcast" in obj else obj for obj in lines],
+            "an outcome line with default separators": lambda: lines[:-1] + [json.dumps(lines[-1])],
+            "a line of deeply nested lists": lambda: (
+                lines[:-1] + ["[" * 10 ** 5 + "]" * 10 ** 5] + lines[-1:]),
         }
         text = "\n".join(
             obj if isinstance(obj, str) else json.dumps(obj, separators=(",", ":"))
