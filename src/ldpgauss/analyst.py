@@ -246,7 +246,7 @@ def refine_pooled_kv(
         return value, score, curve
 
     lo, hi = mu_hat1 - 0.5 * spacing, mu_hat1 + 0.5 * spacing
-    grid = sorted(lattice.nearest_point(mu_hat1) for lattice in lattices.values())
+    grid = sorted(float(lattice.nearest_points(mu_hat1)) for lattice in lattices.values())
     values = [loglik(point)[0] for point in grid]
     best = max(range(len(grid)), key=values.__getitem__)
     left = grid[best - 1] if best > 0 else lo
@@ -307,7 +307,7 @@ def select_subgroup_kv(
     best_key = best_point = None
     best_dist = math.inf
     for key in sorted(lattices):
-        point = lattices[key].nearest_point(mu_hat1)
+        point = float(lattices[key].nearest_points(mu_hat1))
         dist = abs(point - mu_hat1)
         if dist < best_dist:
             best_key, best_point, best_dist = key, point, dist

@@ -1,9 +1,10 @@
 """Monte Carlo experiment runner, privacy auditor, and result persistence.
 
 Privacy audits are analytic, because empirical frequencies cannot certify a
-multiplicative e^eps bound: the output law of a discrete randomizer comes
-from the maps its kernel runs, evaluated on a whole input grid at once, and
-the noise-adding randomizers' log-densities are evaluated in closed form.
+multiplicative e^eps bound. They call the kernels that users run on a whole
+input grid at once, with the draw that keeps the true report or adds zero
+noise: a discrete randomizer's output law is that report kept with the keep
+probability, and a noise-adding one's is Laplace noise about it.
 Statistical checks with standard-error tolerances live in the test suite
 instead.
 
@@ -24,7 +25,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ldpgauss.aggregation import MalformedInputError
-from ldpgauss.numerics import TrialStreams, floor_div_mod4_array, gaussian_from_uniforms, hash_u64
+from ldpgauss.numerics import TrialStreams, gaussian_from_uniforms, hash_u64
 from ldpgauss.protocols import (
     RUNNERS,
     BoundedSigma,
@@ -36,11 +37,12 @@ from ldpgauss.protocols import (
 )
 from ldpgauss.randomizers import (
     LatticeSpec,
-    one_round_uv_rr2_log_density,
+    one_round_uv_rr2_values,
     quad_keep_prob,
+    rr1_values,
     sign_keep_prob,
-    sign_with_positive_zero,
-    uv_rr2_log_density,
+    sign_rr_values,
+    uv_rr2_values,
 )
 
 def sample_population(truth: SimulationTruth, n: int, streams: TrialStreams) -> np.ndarray:
@@ -250,7 +252,7 @@ def fit_loglog_slope(n_values: Sequence[int], medians: Sequence[float]) -> Optio
 
 def _require_finite_eps(eps: float) -> None:
     if not (eps > 0.0 and math.isfinite(eps)):
-        raise ValueError(f"audit needs a finite positive eps, got {eps}")
+        raise ConfigError(f"audit needs a finite positive eps, got {eps}")
 
 
 def audit_privacy_discrete(
@@ -258,24 +260,25 @@ def audit_privacy_discrete(
 ) -> float:
     """Worst-case output-probability ratio across all input pairs.
 
-    The output law of every input on the grid comes from the maps the
-    kernels run: the true report (the quad digit, or the sign of the
-    residual to the center) is kept with the keep probability, else replaced
-    by each other output alike. The result is max over inputs x, x' and
-    outputs a of P[a|x] / P[a|x'].
+    The true report of every input on the grid (the quad digit, or the sign
+    of the residual to the center) is the kernel's report under a keep draw
+    of 0. It is kept with the keep probability, else replaced by each other
+    output alike. The result is max over inputs x, x' and outputs a of
+    P[a|x] / P[a|x'].
     """
     _require_finite_eps(eps)
     xs = np.asarray(input_grid, dtype=np.float64)
+    kept = np.zeros(xs.size)
     if randomizer == "rr1":
         keep, outputs = quad_keep_prob(eps), np.arange(4)
-        truth = floor_div_mod4_array(xs, params.get("level_j", 0))
+        truth = rr1_values(eps, xs, params.get("level_j", 0), kept, kept)
     elif randomizer in ("kv_rr2", "one_round_kv_rr2"):
         keep, outputs = sign_keep_prob(eps), np.array([-1, 1])
         if randomizer == "kv_rr2":
             centers = params["mu_hat1"]
         else:
             centers = params["lattice"].nearest_points(xs)
-        truth = sign_with_positive_zero((xs - centers) / params["sigma"])
+        truth = sign_rr_values(eps, xs, centers, params["sigma"], kept)
     else:
         raise ValueError(f"unknown discrete randomizer {randomizer!r}")
     law = np.where(truth[:, None] == outputs, keep, (1.0 - keep) / (outputs.size - 1))
@@ -289,18 +292,22 @@ def audit_privacy_discrete(
 
 def audit_privacy_laplace(
     eps: float,
-    log_density: Callable[[float, float], float],
+    center: Callable[[np.ndarray], np.ndarray],
+    scale: float,
     x_pairs: Iterable[Tuple[float, float]],
     y_grid: Sequence[float],
 ) -> float:
     """Worst log-density ratio of a noise-adding randomizer, whose output
-    has log-density log_density(x, y) at y given input x."""
+    given input x is Laplace(scale) noise about center(x): the largest
+    |log f(y | x1) - log f(y | x2)| over the pairs and the grid."""
     _require_finite_eps(eps)
-    worst = 0.0
-    for x1, x2 in x_pairs:
-        for y in y_grid:
-            worst = max(worst, float(abs(log_density(x1, y) - log_density(x2, y))))
-    return worst
+    pairs = np.asarray(list(x_pairs), dtype=np.float64).reshape(-1, 2)
+    ys = np.asarray(y_grid, dtype=np.float64)
+
+    def log_density(xs):  # one row per input, one column per output
+        return -np.abs(ys - center(xs)[:, None]) / scale - math.log(2.0 * scale)
+
+    return float(np.max(np.abs(log_density(pairs[:, 0]) - log_density(pairs[:, 1])), initial=0.0))
 
 
 def default_audit_report(eps_values: Sequence[float]) -> List[dict]:
@@ -328,12 +335,13 @@ def default_audit_report(eps_values: Sequence[float]) -> List[dict]:
                 "randomizer": name, "eps": eps, "measure": "max_ratio", "value": ratio,
                 "bound": bound, "ok": math.isclose(ratio, bound, rel_tol=1e-9),
             })
-        for name, log_density in (
-            ("uv_rr2", lambda x, y: uv_rr2_log_density(eps, lo, hi, x, y)),
-            ("one_round_uv_rr2", lambda x, y: one_round_uv_rr2_log_density(
-                eps, lattice, 2.0 * lattice.spacing, x, y)),
+        # a noise draw of 1/2 adds exactly zero noise
+        for name, center, scale in (
+            ("uv_rr2", lambda xs: uv_rr2_values(eps, xs, lo, hi, 0.5), (hi - lo) / eps),
+            ("one_round_uv_rr2", lambda xs: one_round_uv_rr2_values(
+                eps, xs, lattice, 2.0 * lattice.spacing, 0.5), 2.0 * lattice.spacing / eps),
         ):
-            log_gap = audit_privacy_laplace(eps, log_density, pairs, ys)
+            log_gap = audit_privacy_laplace(eps, center, scale, pairs, ys)
             rows.append({
                 "randomizer": name, "eps": eps, "measure": "max_log_ratio",
                 "value": log_gap, "bound": eps, "ok": log_gap <= eps + 1e-12,

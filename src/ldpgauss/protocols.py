@@ -57,7 +57,6 @@ from ldpgauss.randomizers import (
     one_round_uv_rr2_values,
     rr1_values,
     sign_rr_values,
-    sign_with_positive_zero,
     uv_rr2_values,
 )
 
@@ -578,8 +577,6 @@ class Transcript:
             end = len(text) if end < 0 else end
             line_pos, pos = pos, end + 1
             raw = text[line_pos:end]
-            if not raw.strip():
-                continue
             flush()
             pending = None
             try:  # json.JSONDecodeError is a ValueError; deep nesting recurses
@@ -590,7 +587,7 @@ class Transcript:
                 raise _malformed(text, line_pos, "not a broadcast, an outcome or a message as written")
             if "outcome" not in item:
                 transcript.add_broadcast(item["round"], item["broadcast"])
-            elif text[pos:].strip():
+            elif pos < len(text):
                 raise _malformed(text, line_pos, "a line follows the outcome")
             else:
                 transcript.outcome = EstimateOutcome(**item["outcome"])
@@ -767,12 +764,9 @@ def _privatize(plan: PartitionPlan, kind: str, x, draws, params: tuple, broadcas
     if kind == "quad":
         return rr1_values(plan.eps, x, params[0], draws[:, 0], draws[:, 1])
     if kind == "sign":
-        if not params:  # kv2's round two, centered on the broadcast
-            centers = broadcast["mu_hat1"]
-        else:
-            centers = LatticeSpec(*params).nearest_points(x)
-        true_signs = sign_with_positive_zero((x - centers) / plan.sigma)
-        return sign_rr_values(plan.eps, true_signs, draws[:, 0])
+        # kv2's round two is centered on the broadcast
+        centers = LatticeSpec(*params).nearest_points(x) if params else broadcast["mu_hat1"]
+        return sign_rr_values(plan.eps, x, centers, plan.sigma, draws[:, 0])
     if not params:  # uv2's round two, clamped to the broadcast
         lo, hi = broadcast["interval_lo"], broadcast["interval_hi"]
         return uv_rr2_values(plan.eps, x, lo, hi, draws[:, 0])

@@ -9,9 +9,8 @@ many subgroups and give each the bits of a call for their subgroup alone.
 The kernels are the only code that reads raw samples, and the one
 implementation of user-side randomization. Every randomizer satisfies a
 pure epsilon local-privacy bound. The exact audits in `harness` certify it
-from the same maps the kernels run (the quad digit, nearest lattice points,
-the sign, the keep probabilities) and, for the noise-adding randomizers,
-from the log-densities at the bottom.
+by calling these kernels with the draw that keeps the true report or adds
+zero noise.
 """
 
 from __future__ import annotations
@@ -37,12 +36,9 @@ class LatticeSpec:
         if not (positive.all() if isinstance(positive, np.ndarray) else positive):
             raise ValueError(f"lattice spacing must be positive, got {self.spacing}")
 
-    def nearest_point(self, x: float) -> float:
-        """Closest lattice point to x; exact midpoints go to the lower point."""
-        b = math.ceil((x - self.offset) / self.spacing - 0.5)
-        return self.offset + b * self.spacing
-
     def nearest_points(self, xs: np.ndarray) -> np.ndarray:
+        """Closest lattice point to each x; exact midpoints go to the lower
+        point."""
         b = np.ceil((np.asarray(xs, dtype=np.float64) - self.offset) / self.spacing - 0.5)
         return self.offset + b * self.spacing
 
@@ -80,10 +76,11 @@ def rr1_values(eps, xs, level_j, u_keep, u_alt):
     return np.where(np.asarray(u_keep) <= p, truth, alt)
 
 
-def sign_rr_values(eps, true_signs, u_keep):
-    """Two-way randomized response on signs in {-1,+1}."""
+def sign_rr_values(eps, xs, centers, sigma, u_keep):
+    """Two-way randomized response on the sign of (x - center) / sigma, with
+    sign(0) = +1."""
     p = sign_keep_prob(eps)
-    signs = np.asarray(true_signs)
+    signs = sign_with_positive_zero((np.asarray(xs, dtype=np.float64) - centers) / sigma)
     return np.where(np.asarray(u_keep) <= p, signs, -signs)
 
 
@@ -101,23 +98,3 @@ def one_round_uv_rr2_values(eps, xs, lattice: LatticeSpec, noise_scale_numerator
     _require_positive_eps(eps)
     residual = np.asarray(xs, dtype=np.float64) - lattice.nearest_points(xs)
     return residual + laplace_from_uniform(np.asarray(u_noise), noise_scale_numerator / eps)
-
-
-# ---------------------------------------------------------------------------
-# Log-densities of the noise-adding randomizers, used by the exact privacy
-# audits.
-
-def uv_rr2_log_density(eps: float, interval_lo: float, interval_hi: float, x: float, y: float) -> float:
-    """Log-density of uv_rr2's output at y given input x."""
-    scale = (interval_hi - interval_lo) / eps
-    center = min(max(x, interval_lo), interval_hi)
-    return -abs(y - center) / scale - math.log(2.0 * scale)
-
-
-def one_round_uv_rr2_log_density(
-    eps: float, lattice: LatticeSpec, noise_scale_numerator: float, x: float, y: float
-) -> float:
-    """Log-density of one_round_uv_rr2's output at y given input x."""
-    scale = noise_scale_numerator / eps
-    residual = x - lattice.nearest_point(x)
-    return -abs(y - residual) / scale - math.log(2.0 * scale)

@@ -6,9 +6,10 @@ from bounded brute-force scans.
 
 The scalar stream below draws one uniform at a time; it is the reference
 for the library's one way to draw, `uniform_block`, which must give the
-same bits for many users at once. The closed-form output laws of the
-discrete randomizers are the reference for the privacy audit, which
-computes them from the kernels' array maps.
+same bits for many users at once. The closed-form output laws of one input
+at a time (the discrete laws, the scalar nearest lattice point and the
+noise-adding randomizers' log-densities) are the reference for the privacy
+audit, which calls the kernels on whole grids.
 
 The scalar operations handle one user at a time, drawing from that user's
 RandomStream in a fixed order, and aggregate lists of per-user reports. The
@@ -53,7 +54,6 @@ from ldpgauss.randomizers import (
     rr1_values,
     sign_keep_prob,
     sign_rr_values,
-    sign_with_positive_zero,
     uv_rr2_values,
 )
 
@@ -178,7 +178,13 @@ def sample_laplace(stream: RandomStream, scale: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form output laws of the discrete randomizers, one input at a time.
+# Closed-form output laws of the randomizers, one input at a time.
+
+def nearest_point(lattice: LatticeSpec, x: float) -> float:
+    """Closest lattice point to x; exact midpoints go to the lower point."""
+    b = math.ceil((x - lattice.offset) / lattice.spacing - 0.5)
+    return lattice.offset + b * lattice.spacing
+
 
 def floor_div_mod4(x: float, j: int) -> int:
     """Euclidean (always in {0,1,2,3}) value of floor(x / 2^j) mod 4."""
@@ -213,14 +219,29 @@ def discrete_audit_ratio(randomizer: str, eps: float, input_grid, params: dict) 
         if randomizer == "kv_rr2":
             center = params["mu_hat1"]
         else:
-            center = params["lattice"].nearest_point(x)
-        true_sign = int(sign_with_positive_zero(np.array([(x - center) / params["sigma"]]))[0])
-        dists.append(sign_rr_distribution(eps, true_sign))
+            center = nearest_point(params["lattice"], x)
+        dists.append(sign_rr_distribution(eps, 1 if (x - center) / params["sigma"] >= 0.0 else -1))
     stacked = np.stack(dists)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = stacked[:, None, :] / stacked[None, :, :]
     ratios[(stacked[:, None, :] == 0.0) & (stacked[None, :, :] == 0.0)] = 1.0
     return float(np.max(ratios))
+
+
+def uv_rr2_log_density(eps: float, interval_lo: float, interval_hi: float, x: float, y: float) -> float:
+    """Log-density of uv_rr2's output at y given input x."""
+    scale = (interval_hi - interval_lo) / eps
+    center = min(max(x, interval_lo), interval_hi)
+    return -abs(y - center) / scale - math.log(2.0 * scale)
+
+
+def one_round_uv_rr2_log_density(
+    eps: float, lattice: LatticeSpec, noise_scale_numerator: float, x: float, y: float
+) -> float:
+    """Log-density of one_round_uv_rr2's output at y given input x."""
+    scale = noise_scale_numerator / eps
+    residual = x - nearest_point(lattice, x)
+    return -abs(y - residual) / scale - math.log(2.0 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +297,7 @@ def kv_rr2(
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     u_keep = stream.next_uniform()
-    true_sign = sign_with_positive_zero(np.array([(x - mu_hat1) / sigma]))
-    value = int(sign_rr_values(eps, true_sign, np.array([u_keep]))[0])
+    value = int(sign_rr_values(eps, np.array([x]), mu_hat1, sigma, np.array([u_keep]))[0])
     return SignReport(user_id=user_id, value=value)
 
 
@@ -294,9 +314,8 @@ def one_round_kv_rr2(
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     u_keep = stream.next_uniform()
-    center = lattice.nearest_point(x)
-    true_sign = sign_with_positive_zero(np.array([(x - center) / sigma]))
-    value = int(sign_rr_values(eps, true_sign, np.array([u_keep]))[0])
+    center = nearest_point(lattice, x)
+    value = int(sign_rr_values(eps, np.array([x]), center, sigma, np.array([u_keep]))[0])
     return SignReport(user_id=user_id, value=value, subgroup=subgroup)
 
 
@@ -442,8 +461,7 @@ def reference_run(protocol, config, samples, streams):
                 else:
                     lattice = LatticeSpec(0.2 * plan.sigma * block.key, plan.rho * plan.sigma)
                     centers = lattice.nearest_points(x)
-                true_signs = sign_with_positive_zero((x - centers) / plan.sigma)
-                values = sign_rr_values(plan.eps, true_signs, draws[:, 0])
+                values = sign_rr_values(plan.eps, x, centers, plan.sigma, draws[:, 0])
             elif block.key is None:  # uv2's round two, clamped to the broadcast
                 lo, hi = broadcast["interval_lo"], broadcast["interval_hi"]
                 values = uv_rr2_values(plan.eps, x, lo, hi, draws[:, 0])

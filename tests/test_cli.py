@@ -18,7 +18,7 @@ def exit_code(argv):
         return exc.code
 
 
-# the exact stdout of `ldpgauss audit --eps 0.1,0.5,1,2`
+# the exact stdout of `ldpgauss audit --eps 0.1,0.5,1,2,10`
 AUDIT_STDOUT = """\
 ok rr1 eps=0.1 max_ratio=1.1051709180756475 bound=1.1051709180756477
 ok kv_rr2 eps=0.1 max_ratio=1.1051709180756477 bound=1.1051709180756477
@@ -40,6 +40,11 @@ ok kv_rr2 eps=2.0 max_ratio=7.3890560989306415 bound=7.38905609893065
 ok one_round_kv_rr2 eps=2.0 max_ratio=7.3890560989306415 bound=7.38905609893065
 ok uv_rr2 eps=2.0 max_log_ratio=2.000000000000001 bound=2.0
 ok one_round_uv_rr2 eps=2.0 max_log_ratio=0.8333333333333339 bound=2.0
+ok rr1 eps=10.0 max_ratio=22026.465794799664 bound=22026.465794806718
+ok kv_rr2 eps=10.0 max_ratio=22026.465794828076 bound=22026.465794806718
+ok one_round_kv_rr2 eps=10.0 max_ratio=22026.465794828076 bound=22026.465794806718
+ok uv_rr2 eps=10.0 max_log_ratio=10.0 bound=10.0
+ok one_round_uv_rr2 eps=10.0 max_log_ratio=4.16666666666667 bound=10.0
 """
 
 
@@ -207,11 +212,12 @@ class TestSweep:
         assert len(summary) == 1 + 2
 
     @pytest.mark.parametrize("grid", [
-        ["--n-grid", "4096"], ["--n-grid", "4096,4096"], ["--n", "4096", "--eps-grid", "1,1"],
+        ["--n-grid", "4096", "--eps", "1"], ["--n-grid", "4096,4096", "--eps", "1"],
+        ["--n", "4096", "--eps-grid", "1,1"],
     ])
     def test_single_cell_slope_absent(self, tmp_path, capsys, grid):
         args = [
-            "sweep", "--protocol", "kv2", *grid, "--eps", "1", "--mu", "10", "--sigma", "1",
+            "sweep", "--protocol", "kv2", *grid, "--mu", "10", "--sigma", "1",
             "--k", "256", "--trials", "2", "--out", str(tmp_path),
         ]
         assert cli.main(args) == 0
@@ -229,6 +235,26 @@ class TestSweep:
         assert cli.main(args) == 0
         rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
         assert [row.split(",")[4] for row in rows] == ["1.0", "2.0"]
+
+    @pytest.mark.parametrize("name,grid", [
+        ("n", "4096,8192"), ("eps", "1,2"), ("mu", "5,10"), ("sigma", "1,2"),
+    ])
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_scalar_beside_its_grid_exits_2(self, tmp_path, capsys, name, grid, source):
+        # the grid would silently replace the scalar
+        args = [
+            "sweep", "--protocol", "kv2", "--n", "4096", "--eps", "1", "--mu", "10",
+            "--sigma", "1", "--k", "256", "--trials", "2", "--out", str(tmp_path),
+        ]
+        if source == "flags":
+            args += [f"--{name}-grid", grid]
+        else:
+            path = tmp_path / "config.json"
+            path.write_text(f'{{"{name}_grid": [{grid}]}}')
+            args += ["--config", str(path)]
+        assert cli.main(args) == 2
+        assert f"--{name} or --{name}-grid" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
 
     @pytest.mark.parametrize("flag,message", [
         ("--n", "n must be even and at least 2, got 0"),
@@ -298,11 +324,17 @@ class TestAudit:
         assert "VIOLATION" in capsys.readouterr().out
 
     def test_golden_stdout(self, capsys):
-        assert cli.main(["audit", "--eps", "0.1,0.5,1,2"]) == 0
+        assert cli.main(["audit", "--eps", "0.1,0.5,1,2,10"]) == 0
         assert capsys.readouterr().out == AUDIT_STDOUT
 
     def test_zero_eps_exits_2(self):
         assert cli.main(["audit", "--eps", "0"]) == 2
+
+    @pytest.mark.parametrize("eps", ["inf", "nan", "1,-inf"])
+    def test_non_finite_eps_exits_2(self, capsys, eps):
+        assert cli.main(["audit", "--eps", eps]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite positive eps" in captured.err
 
     def test_large_eps_rounding_is_not_a_violation(self, capsys):
         # rr1's ratio at eps = 10 misses e^10 by a relative 3e-13 of rounding

@@ -16,8 +16,8 @@ from ldpgauss.harness import (
 )
 from ldpgauss.numerics import TrialStreams, hash_u64, uniform_block
 from ldpgauss.protocols import ConfigError
-from ldpgauss.randomizers import LatticeSpec, one_round_uv_rr2_log_density, uv_rr2_log_density
-from oracles import discrete_audit_ratio
+from ldpgauss.randomizers import LatticeSpec, one_round_uv_rr2_values, uv_rr2_values
+from oracles import discrete_audit_ratio, one_round_uv_rr2_log_density, uv_rr2_log_density
 
 
 def kv2_spec(**overrides):
@@ -156,28 +156,35 @@ class TestDiscreteAudit:
 
 
 def clamped(eps, lo, hi):
-    """uv_rr2's log-density as a function of (x, y)."""
-    return lambda x, y: uv_rr2_log_density(eps, lo, hi, x, y)
+    """uv_rr2's noise center as a function of the inputs (a noise draw of 1/2
+    adds zero noise), and its noise scale."""
+    return lambda xs: uv_rr2_values(eps, xs, lo, hi, 0.5), (hi - lo) / eps
+
+
+def lattice_residual(eps, lattice):
+    """one_round_uv_rr2's noise center and scale, like `clamped`."""
+    numerator = 2.0 * lattice.spacing
+    return lambda xs: one_round_uv_rr2_values(eps, xs, lattice, numerator, 0.5), numerator / eps
 
 
 class TestLaplaceAudit:
     def test_same_input_zero_ratio(self):
-        got = audit_privacy_laplace(1.0, clamped(1.0, 0.0, 1.0), [(0.3, 0.3)], [0.0, 0.5, 2.0])
+        got = audit_privacy_laplace(1.0, *clamped(1.0, 0.0, 1.0), [(0.3, 0.3)], [0.0, 0.5, 2.0])
         assert got == 0.0
 
     def test_opposite_endpoints_saturate_eps(self):
         # y beyond an endpoint sees the full sensitivity |I|.
         got = audit_privacy_laplace(
-            1.7, clamped(1.7, 0.0, 1.0), [(0.0, 1.0)], [-3.0, 0.0, 1.0, 5.0])
+            1.7, *clamped(1.7, 0.0, 1.0), [(0.0, 1.0)], [-3.0, 0.0, 1.0, 5.0])
         assert got == pytest.approx(1.7, abs=1e-12)
 
     def test_clamping_collision_zero_ratio(self):
-        got = audit_privacy_laplace(1.0, clamped(1.0, 0.0, 1.0), [(5.0, 99.0)], [0.2, 1.4])
+        got = audit_privacy_laplace(1.0, *clamped(1.0, 0.0, 1.0), [(5.0, 99.0)], [0.2, 1.4])
         assert got == 0.0
 
     def test_infinite_eps_rejected(self):
         with pytest.raises(ValueError, match="finite positive eps"):
-            audit_privacy_laplace(math.inf, clamped(1.0, 0.0, 1.0), [(0.0, 1.0)], [0.0])
+            audit_privacy_laplace(math.inf, *clamped(1.0, 0.0, 1.0), [(0.0, 1.0)], [0.0])
 
     def test_lattice_variant_stays_below_eps(self):
         lattice = LatticeSpec(0.0, 4.0)
@@ -187,12 +194,31 @@ class TestLaplaceAudit:
         # keeps the log ratio strictly below eps/2.
         pairs.append((2.0, -2.0 + 1e-9))
         got = audit_privacy_laplace(
-            2.0,
-            lambda x, y: one_round_uv_rr2_log_density(2.0, lattice, 2.0 * lattice.spacing, x, y),
-            pairs, np.linspace(-8, 8, 17),
-        )
+            2.0, *lattice_residual(2.0, lattice), pairs, np.linspace(-8, 8, 17))
         assert got <= 1.0 + 1e-12
         assert got == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 2.0, math.log(3.0), 7.5])
+    @pytest.mark.parametrize("name", ["uv_rr2", "one_round_uv_rr2"])
+    def test_grid_gap_matches_scalar_log_densities(self, eps, name):
+        # on the default report's grids, the gap over whole grids from the
+        # kernels is the largest gap of the scalar log-densities, one pair
+        # and one output at a time, bit for bit
+        inputs = list(np.linspace(-10.0, 10.0, 41))
+        lattice, lo, hi = LatticeSpec(0.7, 3.0), -2.0, 3.0
+        pairs = [(a, b) for a in inputs for b in (-10.0, lo, 0.0, hi, 10.0)]
+        ys = list(np.linspace(-12.0, 12.0, 33)) + [lo, hi]
+        if name == "uv_rr2":
+            center, scale = clamped(eps, lo, hi)
+            log_density = lambda x, y: uv_rr2_log_density(eps, lo, hi, x, y)
+        else:
+            center, scale = lattice_residual(eps, lattice)
+            log_density = lambda x, y: one_round_uv_rr2_log_density(
+                eps, lattice, 2.0 * lattice.spacing, x, y)
+        want = max(abs(log_density(x1, y) - log_density(x2, y)) for x1, x2 in pairs for y in ys)
+        assert audit_privacy_laplace(eps, center, scale, pairs, ys) == want
+        row = next(row for row in default_audit_report([eps]) if row["randomizer"] == name)
+        assert row["value"] == want
 
     def test_default_report_all_ok(self):
         rows = default_audit_report([0.1, 0.5, 1.0, 2.0, math.log(3.0)])

@@ -230,7 +230,7 @@ class TestKVOneRound:
         plan = plan_partition(config, "kv1")
         sigma = config.variance_mode.sigma
         distance = {
-            m: abs(LatticeSpec(0.2 * sigma * m, plan.rho * sigma).nearest_point(outcome.mu_hat1)
+            m: abs(LatticeSpec(0.2 * sigma * m, plan.rho * sigma).nearest_points(outcome.mu_hat1)
                    - outcome.mu_hat1)
             for m in plan.group_keys
         }
@@ -454,6 +454,11 @@ class TestTranscriptAndReplay:
         ("kv2", dict(k=512), "outcome mu_hat1 spelled as an integer"),
         ("kv2", dict(k=512), "broadcast mu_hat1 spelled as an integer"),
         ("kv2", dict(k=512), "a line of deeply nested lists"),
+        ("kv2", dict(k=512), "a blank line at the top"),
+        ("kv2", dict(k=512), "a blank line inside a level block"),
+        ("kv2", dict(k=512), "a spaces-only line before the outcome"),
+        ("kv2", dict(k=512), "blank lines after the outcome"),
+        ("kv2", dict(k=512), "trailing spaces after the outcome"),
     ])
     def test_transcript_no_run_could_produce_rejected(self, protocol, kwargs, edit):
         config = make_config(protocol, **kwargs)
@@ -553,6 +558,12 @@ class TestTranscriptAndReplay:
             "an outcome line with default separators": lambda: lines[:-1] + [json.dumps(lines[-1])],
             "a line of deeply nested lists": lambda: (
                 lines[:-1] + ["[" * 10 ** 5 + "]" * 10 ** 5] + lines[-1:]),
+            # the writer writes no blank line, and nothing after the outcome's newline
+            "a blank line at the top": lambda: [""] + lines,
+            "a blank line inside a level block": lambda: lines[:1] + [""] + lines[1:],
+            "a spaces-only line before the outcome": lambda: lines[:-1] + ["   "] + lines[-1:],
+            "blank lines after the outcome": lambda: lines + ["", "", ""],
+            "trailing spaces after the outcome": lambda: lines + ["  "],
         }
         text = "\n".join(
             obj if isinstance(obj, str) else json.dumps(obj, separators=(",", ":"))

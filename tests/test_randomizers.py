@@ -14,7 +14,6 @@ from ldpgauss.randomizers import (
     sign_keep_prob,
     sign_rr_values,
     sign_with_positive_zero,
-    uv_rr2_log_density,
     uv_rr2_values,
 )
 from oracles import (
@@ -28,6 +27,7 @@ from oracles import (
     rr1_distribution,
     sign_rr_distribution,
     uv_rr2,
+    uv_rr2_log_density,
 )
 
 
@@ -98,7 +98,7 @@ class TestKVRR2:
     def test_empirical_mean_of_reports(self):
         n = 1_000_000
         u = uniform_block(5, 0, np.arange(n), first=2, count=1)[:, 0]
-        vals = sign_rr_values(1.0, np.full(n, 1, dtype=np.int64), u)
+        vals = sign_rr_values(1.0, np.ones(n), 0.0, 1.0, u)  # true sign +1
         target = (math.e - 1.0) / (math.e + 1.0)
         se = math.sqrt((1.0 - target ** 2) / n)
         assert abs(vals.mean() - target) <= 3.0 * se
@@ -106,7 +106,7 @@ class TestKVRR2:
     def test_scalar_matches_kernel(self):
         s1, s2 = RandomStream(1, 2), RandomStream(1, 2)
         rep = kv_rr2(s1, 0.7, x=3.0, mu_hat1=5.0, sigma=2.0, user_id=9)
-        expected = int(sign_rr_values(0.7, np.array([-1]), np.array([s2.next_uniform()]))[0])
+        expected = -1 if s2.next_uniform() <= sign_keep_prob(0.7) else 1  # true sign -1
         assert rep == SignReport(user_id=9, value=expected)
 
     def test_validation(self):
@@ -119,20 +119,19 @@ class TestKVRR2:
 class TestOneRoundKVRR2:
     def test_midpoint_tie_goes_to_lower_point(self):
         lattice = LatticeSpec(offset=0.0, spacing=10.0)
-        assert lattice.nearest_point(5.0) == 0.0
+        assert lattice.nearest_points(5.0) == nearest_point_oracle(lattice, 5.0) == 0.0
         rep = one_round_kv_rr2(RandomStream(0, 1), 50.0, x=5.0, lattice=lattice, sigma=1.0)
         assert rep.value == 1  # residual +spacing/2, sign positive
 
     def test_nearest_point_arithmetic(self):
         lattice = LatticeSpec(offset=0.0, spacing=10.0)
-        assert lattice.nearest_point(3.0) == 0.0
+        assert lattice.nearest_points(3.0) == nearest_point_oracle(lattice, 3.0) == 0.0
         rep = one_round_kv_rr2(RandomStream(0, 2), 50.0, x=3.0, lattice=lattice, sigma=1.0)
         assert rep.value == 1
 
     def test_offset_lattice_against_scan_oracle(self):
         lattice = LatticeSpec(offset=2.0, spacing=10.0)
-        assert nearest_point_oracle(lattice, 8.5) == 12.0
-        assert lattice.nearest_point(8.5) == 12.0
+        assert lattice.nearest_points(8.5) == nearest_point_oracle(lattice, 8.5) == 12.0
         rep = one_round_kv_rr2(RandomStream(0, 3), 50.0, x=8.5, lattice=lattice, sigma=1.0)
         assert rep.value == -1
 
@@ -144,7 +143,7 @@ class TestOneRoundKVRR2:
     @settings(max_examples=300)
     def test_nearest_point_matches_oracle(self, x, offset, spacing):
         lattice = LatticeSpec(offset=offset, spacing=spacing)
-        got = lattice.nearest_point(x)
+        got = float(lattice.nearest_points(x))
         expected = nearest_point_oracle(lattice, x, b_window=3)
         assert got == pytest.approx(expected, abs=1e-9 * max(1.0, abs(expected)))
 
@@ -241,10 +240,10 @@ class TestPerUserParameters:
         offsets, spacings = [0.2, 0.4, 0.6, 0.8], [7.0, 7.0, 3.0, 0.5]
         (off, spa), parts = self.blocks(offsets, spacings)
         centers = LatticeSpec(off, spa).nearest_points(x)
-        got = sign_rr_values(1.0, sign_with_positive_zero(x - centers), d[:, 0])
+        got = sign_rr_values(1.0, x, centers, 1.0, d[:, 0])
         for offset, spacing, part in zip(offsets, spacings, parts):
             center = LatticeSpec(offset, spacing).nearest_points(x[part])
-            want = sign_rr_values(1.0, sign_with_positive_zero(x[part] - center), d[part, 0])
+            want = sign_rr_values(1.0, x[part], center, 1.0, d[part, 0])
             assert centers[part].tobytes() == center.tobytes()
             assert got[part].tobytes() == want.tobytes()
 
