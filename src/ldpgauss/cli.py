@@ -1,7 +1,9 @@
 """Command-line front end: simulate, sweep, audit, replay.
 
-Configuration can come from flags or a flat JSON file (--config); flags win,
-and a file key that names no option of the subcommand is an error.
+Options come from flags and from files of flags: an argument that begins
+with `@` names a file whose lines are arguments, one per line (`--n=4096`),
+read by the same parser as typed flags. A later flag overrides an earlier
+one, so one file of public configuration serves `simulate` and `replay`.
 Exit codes are a stable contract: 0 success, 1 runtime or verification
 failure, 2 usage or configuration error.
 
@@ -12,8 +14,6 @@ byte-identical output files; pass --timing to record real wall times.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from pathlib import Path
 
@@ -61,16 +61,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ldpgauss",
         description="Locally private Gaussian mean estimation simulator",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_config(p):
         """Options that describe a run's configuration."""
-        p.add_argument("--config", type=Path, help="flat JSON config; flags override it")
         p.add_argument("--protocol", choices=sorted(RUNNERS))
         p.add_argument("--n", type=int)
         p.add_argument("--eps", type=float)
-        p.add_argument("--beta", type=float)
+        p.add_argument("--beta", type=float, default=0.05)
         p.add_argument("--mu", type=float)
         p.add_argument("--sigma", type=float)
         p.add_argument("--sigma-min", dest="sigma_min", type=float)
@@ -79,14 +79,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k1", type=int)
         p.add_argument("--levels", dest="levels", type=int,
                        help="size level subgroups for this many levels instead of --k/--k1")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=int, default=0)
 
     def add_run(p):
         """add_config plus the options of commands that run trials."""
         add_config(p)
         p.add_argument("--trials", type=int)
-        p.add_argument("--out", type=Path, help="output directory (default $LDPGAUSS_OUT or .)")
-        p.add_argument("--timing", action="store_true", default=None,
+        p.add_argument("--out", type=Path, default=Path("."), help="output directory (default .)")
+        p.add_argument("--timing", action="store_true",
                        help="record real wall times (breaks byte-identical reruns)")
 
     p_sim = sub.add_parser("simulate", help="run one configuration cell")
@@ -104,95 +104,49 @@ def _build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--eps", type=_float_list, default=(0.1, 0.5, 1.0, 2.0))
 
     # replay reads no --mu or --seed; it accepts them so that one set of
-    # configuration flags serves simulate and replay alike
+    # configuration flags (or one @file) serves simulate and replay alike
     p_replay = sub.add_parser("replay", help="verify a transcript's analyst outputs")
     add_config(p_replay)
     p_replay.add_argument("--transcript", type=Path, required=True)
     return parser
 
 
-def _file_value_fits(key: str, value) -> bool:
-    """Whether its option can hold a config-file value (null leaves it unset)."""
-    if value is None:
-        return True
-    if key == "protocol":
-        return type(value) is str and value in RUNNERS
-    if key in ("out", "transcript"):
-        return type(value) is str
-    if key == "timing":
-        return type(value) is bool
-    integral = key in ("n", "n_grid", "k", "k1", "levels", "seed", "trials")
-    numbers = (int,) if integral else (int, float)
-    if key.endswith("_grid"):
-        return type(value) is list and all(type(v) in numbers for v in value)
-    return type(value) in numbers
-
-
-def _merge_config_file(args: argparse.Namespace) -> dict:
-    """File values fill in whatever the flags left unset."""
-    merged = {k: v for k, v in vars(args).items()}
-    path = merged.pop("config", None)
-    if path is not None:
-        try:
-            loaded = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {path}: {exc}")
-        if not isinstance(loaded, dict):
-            raise UsageError("config file must hold a flat JSON object")
-        for key, value in loaded.items():
-            key = key.replace("-", "_")
-            if key not in merged or key == "command":
-                raise UsageError(f"config file key {key!r} names no option of {args.command}")
-            if not _file_value_fits(key, value):
-                raise UsageError(f"config file key {key!r} cannot hold {value!r}")
-            if merged.get(key) is None:
-                merged[key] = value
-    return merged
-
-
-def _require(merged: dict, *names) -> None:
-    missing = [name for name in names if merged.get(name) is None]
+def _require(opts: dict, *names) -> None:
+    missing = [name for name in names if opts[name] is None]
     if missing:
         raise UsageError(f"missing required options: {', '.join('--' + m.replace('_', '-') for m in missing)}")
 
 
-def _variance_args(merged: dict):
+def _variance_args(opts: dict):
     """The sigma bounds: None for kv2/kv1, which refuse them."""
-    protocol = merged["protocol"]
+    protocol = opts["protocol"]
     if protocol in ("kv2", "kv1"):
-        if merged.get("sigma_min") is not None or merged.get("sigma_max") is not None:
+        if opts["sigma_min"] is not None or opts["sigma_max"] is not None:
             raise UsageError(f"{protocol} uses --sigma, not --sigma-min/--sigma-max")
         return None
-    _require(merged, "sigma_min", "sigma_max")
-    return (merged["sigma_min"], merged["sigma_max"])
+    _require(opts, "sigma_min", "sigma_max")
+    return (opts["sigma_min"], opts["sigma_max"])
 
 
-def _beta(merged: dict) -> float:
-    return 0.05 if merged.get("beta") is None else float(merged["beta"])
-
-
-def _spec_from(merged: dict, n_values, eps_values, mu_values, sigma_values) -> ExperimentSpec:
+def _spec_from(opts: dict, n_values, eps_values, mu_values, sigma_values) -> ExperimentSpec:
     return ExperimentSpec(
-        protocol=merged["protocol"],
+        protocol=opts["protocol"],
         n_values=tuple(n_values),
         eps_values=tuple(eps_values),
         mu_values=tuple(mu_values),
         sigma_values=tuple(sigma_values),
-        trials=int(merged["trials"]),
-        beta=_beta(merged),
-        master_seed=int(merged.get("seed") or 0),
-        sigma_bounds=_variance_args(merged),
-        k=merged.get("k"),
-        k1=merged.get("k1"),
-        levels_target=merged.get("levels"),
+        trials=opts["trials"],
+        beta=opts["beta"],
+        master_seed=opts["seed"],
+        sigma_bounds=_variance_args(opts),
+        k=opts["k"],
+        k1=opts["k1"],
+        levels_target=opts["levels"],
     )
 
 
-def _out_dir(merged: dict) -> Path:
-    out = merged.get("out")
-    if out is None:
-        out = os.environ.get("LDPGAUSS_OUT", ".")
-    out = Path(out)
+def _out_dir(opts: dict) -> Path:
+    out = opts["out"]
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -218,15 +172,12 @@ def _print_cell(cell, slope=None) -> None:
     print(" ".join(parts))
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    merged = _merge_config_file(args)
-    _require(merged, "protocol", "n", "eps", "mu", "sigma", "trials")
-    spec = _spec_from(
-        merged, [merged["n"]], [merged["eps"]], [merged["mu"]], [merged["sigma"]]
-    )
-    out = _out_dir(merged)  # the transcript may be written into it
-    cells = run_trials(spec, transcript_path=merged.get("transcript"))
-    if not merged.get("timing"):
+def _cmd_simulate(opts: dict) -> int:
+    _require(opts, "protocol", "n", "eps", "mu", "sigma", "trials")
+    spec = _spec_from(opts, [opts["n"]], [opts["eps"]], [opts["mu"]], [opts["sigma"]])
+    out = _out_dir(opts)  # the transcript may be written into it
+    cells = run_trials(spec, transcript_path=opts["transcript"])
+    if not opts["timing"]:
         _strip_timing(cells)
     write_results_csv(out / "results.csv", cells)
     write_summary_csv(out / "summary.csv", cells)
@@ -234,27 +185,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    merged = _merge_config_file(args)
-    _require(merged, "protocol", "trials")
+def _cmd_sweep(opts: dict) -> int:
+    _require(opts, "protocol", "trials")
     for name in ("n", "eps", "mu", "sigma"):
-        if merged.get(name) is not None and merged.get(f"{name}_grid") is not None:
+        if opts[name] is not None and opts[f"{name}_grid"] is not None:
             raise UsageError(f"sweep takes --{name} or --{name}-grid, not both")
     # a scalar is a value when given, 0 included; the run rejects bad ones
     n_values, eps_values, mu_values, sigma_values = (
-        merged.get(f"{name}_grid") or ([merged[name]] if merged.get(name) is not None else None)
+        opts[f"{name}_grid"] or ([opts[name]] if opts[name] is not None else None)
         for name in ("n", "eps", "mu", "sigma")
     )
     if not n_values:
         raise UsageError("sweep needs --n-grid (or --n)")
     if not (eps_values and mu_values and sigma_values):
         raise UsageError("sweep needs eps, mu, and sigma values (grid or scalar)")
-    spec = _spec_from(merged, n_values, eps_values, mu_values, sigma_values)
+    spec = _spec_from(opts, n_values, eps_values, mu_values, sigma_values)
     cells = run_trials(spec)
-    if not merged.get("timing"):
+    if not opts["timing"]:
         _strip_timing(cells)
     slopes = slopes_by_cell_group(cells)
-    out = _out_dir(merged)
+    out = _out_dir(opts)
     write_results_csv(out / "results.csv", cells)
     write_summary_csv(out / "summary.csv", cells, slopes)
     for cell in cells:
@@ -265,8 +215,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
-    eps_values = args.eps
+def _cmd_audit(opts: dict) -> int:
+    eps_values = opts["eps"]
     if not eps_values:
         raise UsageError("audit needs at least one eps")
     rows = default_audit_report(eps_values)
@@ -288,22 +238,21 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_replay(args: argparse.Namespace) -> int:
-    merged = _merge_config_file(args)
-    _require(merged, "protocol", "n", "eps")
-    protocol = merged["protocol"]
-    bounds = _variance_args(merged)
+def _cmd_replay(opts: dict) -> int:
+    _require(opts, "protocol", "n", "eps")
+    protocol = opts["protocol"]
+    bounds = _variance_args(opts)
     if bounds is None:
-        _require(merged, "sigma")
-        mode = KnownSigma(merged["sigma"])
+        _require(opts, "sigma")
+        mode = KnownSigma(opts["sigma"])
     else:
         mode = BoundedSigma(*bounds)
     config = ProtocolConfig(
-        eps=merged["eps"], beta=_beta(merged), n=merged["n"],
-        variance_mode=mode, truth=None, k=merged.get("k"),
-        k1=k1_for_levels(merged["n"], merged.get("levels"), merged.get("k"), merged.get("k1")),
+        eps=opts["eps"], beta=opts["beta"], n=opts["n"],
+        variance_mode=mode, truth=None, k=opts["k"],
+        k1=k1_for_levels(opts["n"], opts["levels"], opts["k"], opts["k1"]),
     )
-    transcript = Transcript.load(merged["transcript"], protocol, config.n)
+    transcript = Transcript.load(opts["transcript"], protocol, config.n)
     outcome = replay_analyst(protocol, config, transcript)
     print(
         f"replay ok: mu_hat1={outcome.mu_hat1!r} sigma_hat={outcome.sigma_hat!r} "
@@ -313,16 +262,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    opts = vars(_build_parser().parse_args(argv))
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "audit":
-            return _cmd_audit(args)
-        return _cmd_replay(args)
+        if opts["command"] == "simulate":
+            return _cmd_simulate(opts)
+        if opts["command"] == "sweep":
+            return _cmd_sweep(opts)
+        if opts["command"] == "audit":
+            return _cmd_audit(opts)
+        return _cmd_replay(opts)
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

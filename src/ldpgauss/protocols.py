@@ -551,8 +551,10 @@ class Transcript:
         round, subgroup and kind at a time. Any other line is a broadcast or
         an outcome: read as JSON, rebuilt with the writer's types
         (`_as_written`), and spelled as the writer spells that. An outcome,
-        if any, is the last line. Raises MalformedInputError for anything
-        else."""
+        if any, is the last line, and every line ends in a newline. Raises
+        MalformedInputError for anything else."""
+        if text and text[-1] != "\n":
+            raise _malformed(text, len(text), "the last line lacks its newline")
         transcript = cls(protocol, n)
         pending: Optional[list] = None  # [round, subgroup, kind, user arrays, value arrays]
 
@@ -574,7 +576,6 @@ class Transcript:
                     pending = [*key, [users], [values]]
                 continue
             end = text.find("\n", pos)
-            end = len(text) if end < 0 else end
             line_pos, pos = pos, end + 1
             raw = text[line_pos:end]
             flush()

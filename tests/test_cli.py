@@ -48,6 +48,13 @@ ok one_round_uv_rr2 eps=10.0 max_log_ratio=4.16666666666667 bound=10.0
 """
 
 
+def args_file(tmp_path, *lines):
+    """Write one argument per line to a file; return the argument naming it."""
+    path = tmp_path / "run.args"
+    path.write_text("".join(line + "\n" for line in lines))
+    return f"@{path}"
+
+
 def simulate_args(tmp_path, **extra):
     args = [
         "simulate", "--protocol", "kv2", "--n", "4096", "--eps", "1", "--beta", "0.05",
@@ -104,53 +111,44 @@ class TestSimulate:
         first_row = (out / "results.csv").read_text().splitlines()[1].split(",")
         assert first_row[5] == "0" and float(first_row[8]) == outcome["mu_hat2"]
 
-    def test_config_file_with_flag_override(self, tmp_path):
-        config = {
-            "protocol": "kv2", "n": 4096, "eps": 1.0, "beta": 0.05, "mu": 10.0,
-            "sigma": 1.0, "k": 256, "trials": 2, "seed": 7,
-        }
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        assert cli.main([
-            "simulate", "--config", str(path), "--trials", "4", "--out", str(tmp_path),
-        ]) == 0
+    def test_args_file_with_flag_override(self, tmp_path):
+        path = args_file(tmp_path, "--protocol=kv2", "--n=4096", "--eps=1", "--beta=0.05",
+                         "--mu=10", "--sigma=1", "--k=256", "--trials=2", "--seed=7")
+        assert exit_code(["simulate", path, "--trials", "4", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "results.csv").read_text().splitlines()
-        assert len(lines) == 1 + 4  # the flag overrides the file's trials=2
+        assert len(lines) == 1 + 4  # the later flag overrides the file's --trials=2
 
-    def test_config_file_key_naming_no_option_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"levles": 8}))
-        assert cli.main(simulate_args(tmp_path) + ["--config", str(path)]) == 2
-        assert "levles" in capsys.readouterr().err
+    def test_args_file_flag_naming_no_option_exits_2(self, tmp_path, capsys):
+        path = args_file(tmp_path, "--levles=8")
+        assert exit_code(simulate_args(tmp_path) + [path]) == 2
+        assert "--levles" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command,key,value", [
-        ("simulate", "eps", "1"),
-        ("simulate", "n", "4096"),
-        ("simulate", "n", 4096.0),
-        ("simulate", "k", 256.5),
-        ("sweep", "n_grid", "4096,8192"),
+    @pytest.mark.parametrize("command,line", [
+        ("simulate", "--eps=one"),
+        ("simulate", "--n=4096.0"),
+        ("simulate", "--k=256.5"),
+        ("simulate", "--protocol=kv3"),
+        ("sweep", "--n-grid=4096,x"),
     ])
-    def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, command, key, value):
-        config = {
-            "protocol": "kv2", "n": 4096, "eps": 1.0, "mu": 10.0, "sigma": 1.0,
-            "k": 256, "trials": 1, "out": str(tmp_path),
-        }
-        if command == "sweep":
-            config["n_grid"] = [4096, 8192]
-        config[key] = value
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        assert cli.main([command, "--config", str(path)]) == 2
-        assert f"config file key {key!r}" in capsys.readouterr().err
+    def test_args_file_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, command, line):
+        size = "--n-grid=4096,8192" if command == "sweep" else "--n=4096"
+        path = args_file(tmp_path, "--protocol=kv2", size, "--eps=1", "--mu=10", "--sigma=1",
+                         "--k=256", "--trials=1", f"--out={tmp_path}", line)
+        assert exit_code([command, path]) == 2
+        assert f"argument {line.split('=')[0]}" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
 
-    def test_config_grid_as_a_json_list(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"n_grid": [4096, 8192], "eps_grid": [0.5, 1]}))
-        args = ["sweep", "--config", str(path), "--protocol", "kv2", "--mu", "10", "--sigma", "1",
+    def test_args_file_grids(self, tmp_path):
+        path = args_file(tmp_path, "--n-grid=4096,8192", "--eps-grid=0.5,1")
+        args = ["sweep", path, "--protocol", "kv2", "--mu", "10", "--sigma", "1",
                 "--k", "256", "--trials", "1", "--out", str(tmp_path)]
-        assert cli.main(args) == 0
+        assert exit_code(args) == 0
         assert len((tmp_path / "results.csv").read_text().splitlines()) == 1 + 4
+
+    def test_missing_args_file_exits_2(self, tmp_path, capsys):
+        assert exit_code(simulate_args(tmp_path) + [f"@{tmp_path / 'absent.args'}"]) == 2
+        assert "absent.args" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
 
     def test_zero_levels_exits_2(self, tmp_path, capsys):
         args = simulate_args(tmp_path)
@@ -162,11 +160,10 @@ class TestSimulate:
         assert exit_code(simulate_args(tmp_path) + ["--proof-constants"]) == 2
         assert "--proof-constants" in capsys.readouterr().err
 
-    def test_proof_constants_config_key_is_gone(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"proof_constants": True}))
-        assert cli.main(simulate_args(tmp_path) + ["--config", str(path)]) == 2
-        assert "proof_constants" in capsys.readouterr().err
+    def test_proof_constants_in_an_args_file_exits_2(self, tmp_path, capsys):
+        path = args_file(tmp_path, "--proof-constants")
+        assert exit_code(simulate_args(tmp_path) + [path]) == 2
+        assert "--proof-constants" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "replay"])
     def test_k2_flag_is_gone(self, tmp_path, capsys, command):
@@ -180,11 +177,11 @@ class TestSimulate:
         assert "--k2" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
 
-    def test_k2_config_key_is_gone(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"k2": 7}))
-        assert cli.main(simulate_args(tmp_path, protocol="kv1") + ["--config", str(path)]) == 2
-        assert "k2" in capsys.readouterr().err
+    def test_k2_in_an_args_file_exits_2(self, tmp_path, capsys):
+        path = args_file(tmp_path, "--k2=7")
+        assert exit_code(simulate_args(tmp_path, protocol="kv1") + [path]) == 2
+        assert "--k2=7" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--k", "--k1", "--beta", "--trials"])
     def test_zero_is_a_value_not_unset(self, tmp_path, capsys, flag):
@@ -239,7 +236,7 @@ class TestSweep:
     @pytest.mark.parametrize("name,grid", [
         ("n", "4096,8192"), ("eps", "1,2"), ("mu", "5,10"), ("sigma", "1,2"),
     ])
-    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("source", ["flags", "file"])
     def test_scalar_beside_its_grid_exits_2(self, tmp_path, capsys, name, grid, source):
         # the grid would silently replace the scalar
         args = [
@@ -249,10 +246,8 @@ class TestSweep:
         if source == "flags":
             args += [f"--{name}-grid", grid]
         else:
-            path = tmp_path / "config.json"
-            path.write_text(f'{{"{name}_grid": [{grid}]}}')
-            args += ["--config", str(path)]
-        assert cli.main(args) == 2
+            args.append(args_file(tmp_path, f"--{name}-grid={grid}"))
+        assert exit_code(args) == 2
         assert f"--{name} or --{name}-grid" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
 
@@ -304,6 +299,34 @@ def test_golden_csv_digests(tmp_path, command, protocol, extra, digests):
     got = tuple(hashlib.sha256(read(tmp_path / name)).hexdigest()
                 for name in ("results.csv", "summary.csv"))
     assert got == digests
+
+
+@pytest.mark.parametrize("command,protocol", [
+    ("simulate", "kv2"), ("simulate", "uv1"), ("sweep", "kv2"),
+])
+def test_args_file_run_matches_typed_flags(tmp_path, capsys, command, protocol):
+    sizes = ["--n-grid=4096,8192"] if command == "sweep" else ["--n=4096"]
+    sigmas = ["--sigma=1"] if protocol.startswith("kv") else ["--sigma-min=2", "--sigma-max=16"]
+    public = [f"--protocol={protocol}", *sizes, "--eps=1", "--beta=0.05", "--levels=4", *sigmas]
+    private = ["--mu", "5", "--trials", "2", "--seed", "7"]
+    if protocol.startswith("uv"):
+        private += ["--sigma", "3"]
+    path = args_file(tmp_path, *public)
+
+    def run(out, config):
+        extra = ["--transcript", str(out / "t.jsonl")] if command == "simulate" else []
+        assert exit_code([command, *config, *private, "--out", str(out), *extra]) == 0
+        return {file.name: file.read_bytes() for file in out.iterdir()}
+
+    typed = run(tmp_path / "typed", [part for flag in public for part in flag.split("=", 1)])
+    from_file = run(tmp_path / "file", [path])
+    assert from_file == typed
+    assert len(typed) == (3 if command == "simulate" else 2)
+    if command == "simulate":
+        capsys.readouterr()
+        transcript = tmp_path / "file" / "t.jsonl"
+        assert exit_code(["replay", path, "--transcript", str(transcript)]) == 0
+        assert capsys.readouterr().out.startswith("replay ok")
 
 
 class TestAudit:
@@ -433,6 +456,13 @@ class TestReplay:
         args = self.replay_args(tmp_path, transcript) + ["--mu", "10", "--seed", "7"]
         assert cli.main(args) == 0
         assert "replay ok" in capsys.readouterr().out
+
+    def test_transcript_without_final_newline_exits_2(self, tmp_path, capsys):
+        transcript = self.run_with_transcript(tmp_path)
+        cut = tmp_path / "cut.jsonl"
+        cut.write_bytes(transcript.read_bytes()[:-1])
+        assert cli.main(self.replay_args(tmp_path, cut)) == 2
+        assert "malformed input" in capsys.readouterr().err
 
     def test_truncated_transcript_exits_2(self, tmp_path):
         transcript = self.run_with_transcript(tmp_path)

@@ -249,7 +249,7 @@ class TestKVOneRound:
                     flipped = True
                 out.append(json.dumps(obj, separators=(",", ":")))
             assert flipped
-            return Transcript.loads("\n".join(out), "kv1", config.n)
+            return Transcript.loads("\n".join(out) + "\n", "kv1", config.n)
 
         for m in (nearest, farthest):
             with pytest.raises(ReplayMismatch) as caught:
@@ -270,7 +270,8 @@ class TestKVOneRound:
         tag = f"offset:{plan_partition(config, 'kv1').group_keys[-1]}"
         lines = transcript.dumps().splitlines()
         drop = next(i for i, line in enumerate(lines) if json.loads(line).get("subgroup") == tag)
-        truncated = Transcript.loads("\n".join(lines[:drop] + lines[drop + 1:]), "kv1", config.n)
+        truncated = Transcript.loads(
+            "\n".join(lines[:drop] + lines[drop + 1:]) + "\n", "kv1", config.n)
         with pytest.raises(MalformedInputError):
             replay_analyst("kv1", config, truncated)
 
@@ -568,8 +569,8 @@ class TestTranscriptAndReplay:
         text = "\n".join(
             obj if isinstance(obj, str) else json.dumps(obj, separators=(",", ":"))
             for obj in edits[edit]()
-        )
-        assert text != transcript.dumps().rstrip("\n")
+        ) + "\n"
+        assert text != transcript.dumps()
         with pytest.raises(MalformedInputError):
             replay_analyst(protocol, config, Transcript.loads(text, protocol, config.n))
 
@@ -594,6 +595,18 @@ class TestTranscriptAndReplay:
         monkeypatch.setattr(protocols, "_WINDOW", 1000)
         assert transcript.dumps() == text
         assert_same_items(Transcript.loads(text, protocol, config.n), transcript)
+
+    @pytest.mark.parametrize("protocol,kwargs", [
+        ("kv2", dict(k=512)),
+        ("kv1", dict(k1=512)),
+        ("uv2", dict(k1=2048, sigma=3.0)),
+        ("uv1", dict(k1=2048, sigma=3.0)),
+    ])
+    def test_transcript_without_final_newline_rejected(self, protocol, kwargs):
+        config = make_config(protocol, **kwargs)
+        _, transcript = run_once(protocol, config)
+        with pytest.raises(MalformedInputError, match="newline"):
+            Transcript.loads(transcript.dumps()[:-1], protocol, config.n)
 
     def test_extreme_reals_write_and_read_back(self):
         transcript = Transcript("uv2", 16)
@@ -627,7 +640,7 @@ class TestTranscriptAndReplay:
     ])
     def test_message_spelled_otherwise_rejected(self, line):
         good = '{"round":1,"user":0,"subgroup":"refine","kind":"sign","value":-1}\n'
-        for text in (line, good + line, line + "\n" + good):
+        for text in (line + "\n", good + line + "\n", line + "\n" + good):
             with pytest.raises(MalformedInputError):
                 Transcript.loads(text, "kv2", 16)
         assert Transcript.loads(good * 2, "kv2", 16).message_count == 2
@@ -642,7 +655,7 @@ class TestTranscriptAndReplay:
                 obj["value"] = -obj["value"]
                 lines[i] = json.dumps(obj, separators=(",", ":"))
                 break
-        mutated = Transcript.loads("\n".join(lines), "kv2", config.n)
+        mutated = Transcript.loads("\n".join(lines) + "\n", "kv2", config.n)
         with pytest.raises(ReplayMismatch):
             replay_analyst("kv2", config, mutated)
 
@@ -650,7 +663,7 @@ class TestTranscriptAndReplay:
         config = make_config("kv2", k=512)
         _, transcript = run_once("kv2", config)
         lines = transcript.dumps().splitlines()
-        truncated = Transcript.loads("\n".join(lines[: len(lines) // 2]), "kv2", config.n)
+        truncated = Transcript.loads("\n".join(lines[: len(lines) // 2]) + "\n", "kv2", config.n)
         with pytest.raises(MalformedInputError):
             replay_analyst("kv2", config, truncated)
 
