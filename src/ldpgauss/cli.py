@@ -62,6 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ldpgauss",
         description="Locally private Gaussian mean estimation simulator",
         fromfile_prefix_chars="@",
+        allow_abbrev=False,  # an option is spelled in full, or it is refused
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -89,23 +90,23 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timing", action="store_true",
                        help="record real wall times (breaks byte-identical reruns)")
 
-    p_sim = sub.add_parser("simulate", help="run one configuration cell")
+    p_sim = sub.add_parser("simulate", help="run one configuration cell", allow_abbrev=False)
     add_run(p_sim)
     p_sim.add_argument("--transcript", type=Path, help="also write trial 0's transcript here")
 
-    p_sweep = sub.add_parser("sweep", help="run a configuration grid")
+    p_sweep = sub.add_parser("sweep", help="run a configuration grid", allow_abbrev=False)
     add_run(p_sweep)
     p_sweep.add_argument("--n-grid", dest="n_grid", type=_int_list)
     p_sweep.add_argument("--eps-grid", dest="eps_grid", type=_float_list)
     p_sweep.add_argument("--mu-grid", dest="mu_grid", type=_float_list)
     p_sweep.add_argument("--sigma-grid", dest="sigma_grid", type=_float_list)
 
-    p_audit = sub.add_parser("audit", help="exact privacy audits")
+    p_audit = sub.add_parser("audit", help="exact privacy audits", allow_abbrev=False)
     p_audit.add_argument("--eps", type=_float_list, default=(0.1, 0.5, 1.0, 2.0))
 
     # replay reads no --mu or --seed; it accepts them so that one set of
     # configuration flags (or one @file) serves simulate and replay alike
-    p_replay = sub.add_parser("replay", help="verify a transcript's analyst outputs")
+    p_replay = sub.add_parser("replay", help="verify a transcript's analyst outputs", allow_abbrev=False)
     add_config(p_replay)
     p_replay.add_argument("--transcript", type=Path, required=True)
     return parser

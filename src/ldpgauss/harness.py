@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ldpgauss.aggregation import MalformedInputError
-from ldpgauss.numerics import TrialStreams, gaussian_from_uniforms, hash_u64
+from ldpgauss.numerics import BLOCK, TrialStreams, gaussian_from_uniforms, hash_u64
 from ldpgauss.protocols import (
     RUNNERS,
     BoundedSigma,
@@ -46,9 +46,14 @@ from ldpgauss.randomizers import (
 )
 
 def sample_population(truth: SimulationTruth, n: int, streams: TrialStreams) -> np.ndarray:
-    """Draw each user's sample from their own stream (columns 0 and 1)."""
+    """Draw each user's sample from their own stream (columns 0 and 1).
+    Box-Muller runs BLOCK users at a time, so its temporaries stay in cache."""
     draws = streams.matrix(np.arange(n), first=0, count=2)
-    return gaussian_from_uniforms(draws[:, 0], draws[:, 1], truth.mu, truth.sigma)
+    samples = np.empty(n)
+    for lo in range(0, n, BLOCK):
+        part = slice(lo, lo + BLOCK)
+        samples[part] = gaussian_from_uniforms(draws[part, 0], draws[part, 1], truth.mu, truth.sigma)
+    return samples
 
 
 def nearest_rank_quantile(sorted_values: np.ndarray, p: float) -> float:

@@ -5,8 +5,10 @@ counter-based streams, one per user per trial: draw t of user u in trial i
 is a 64-bit avalanche hash of (master_seed, hash_u64(i, u), t) mapped into
 (0, 1). Identical keys replay bit-identically and distinct keys never share
 state. `uniform_block` is the one way to draw: many users and draws at
-once. Box-Muller and inverse-CDF Laplace turn blocks of uniforms into
-Gaussian samples and noise.
+once. It hashes BLOCK = 2^14 users at a time in scratch buffers it
+allocates once per call and reuses, so the mixing stays in cache; the bits
+are those of hashing every user at once. Box-Muller and inverse-CDF
+Laplace turn blocks of uniforms into Gaussian samples and noise.
 
 Draw-column discipline used by the protocol engine (one stream per user per
 trial): columns 0 and 1 feed the Box-Muller population sample, column 2 the
@@ -46,19 +48,21 @@ def hash_u64(*parts: int) -> int:
     return h
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
+# Users hashed per piece: three uint64 scratch buffers of this many users
+# stay in cache, where whole-population temporaries would not.
+BLOCK = 1 << 14
+
+
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
+    """z <- mix64(z) elementwise, using tmp (same shape) as scratch."""
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
     z *= np.uint64(_MIX_A)
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
     z *= np.uint64(_MIX_B)
-    z ^= z >> np.uint64(31)
-    return z
-
-
-def _unit_from_u64(h):
-    # Top 53 bits, offset by half a ulp: strictly inside (0, 1).
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
 
 
 def uniform_block(
@@ -72,17 +76,33 @@ def uniform_block(
 
     Returns a (len(user_indices), count) matrix whose row i, column t is
     hash_u64(master_seed, hash_u64(trial_index, user_indices[i]), first + t)
-    mapped into (0, 1) by its top 53 bits.
+    mapped into (0, 1) by its top 53 bits. Users are hashed BLOCK at a time
+    in reused buffers; the matrix is the transpose of a (count, n) array, so
+    each column is contiguous.
     """
     idx = np.asarray(user_indices, dtype=np.uint64)
+    n = idx.shape[0]
     # hash_u64(trial, user) = mix64(mix64(IV ^ trial) ^ user)
-    sid = _mix64_array(np.uint64(hash_u64(trial_index)) ^ idx)
-    h0 = np.uint64(mix64(_HASH_IV ^ (master_seed & _MASK64)))
-    base = _mix64_array(h0 ^ sid)
-    out = np.empty((idx.shape[0], count), dtype=np.float64)
-    for t in range(count):
-        out[:, t] = _unit_from_u64(_mix64_array(base ^ np.uint64(first + t)))
-    return out
+    trial_key = np.uint64(hash_u64(trial_index))
+    seed_key = np.uint64(mix64(_HASH_IV ^ (master_seed & _MASK64)))
+    buffers = [np.empty(min(n, BLOCK), dtype=np.uint64) for _ in range(3)]
+    out = np.empty((count, n), dtype=np.float64)
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        key, h, scratch = (buffer[:hi - lo] for buffer in buffers)
+        np.bitwise_xor(idx[lo:hi], trial_key, out=key)
+        _mix64_inplace(key, scratch)
+        key ^= seed_key
+        _mix64_inplace(key, scratch)
+        for t in range(count):
+            np.bitwise_xor(key, np.uint64(first + t), out=h)
+            _mix64_inplace(h, scratch)
+            # top 53 bits, offset by half a ulp: strictly inside (0, 1)
+            np.right_shift(h, np.uint64(11), out=h)
+            row = out[t, lo:hi]
+            np.add(h, 0.5, out=row)
+            row *= 2.0 ** -53
+    return out.T
 
 
 class TrialStreams:
@@ -161,4 +181,7 @@ def floor_div_mod4_array(xs: np.ndarray, j) -> np.ndarray:
     """floor(x / 2^j) mod 4 elementwise, always in {0,1,2,3}; j is an int or
     an int array, one per x (2.0 ** j over an int array equals the Python
     scalar bit for bit)."""
-    return (np.floor(np.asarray(xs, dtype=np.float64) / (2.0 ** j)) % 4.0).astype(np.int64)
+    q = np.floor(np.asarray(xs, dtype=np.float64) / (2.0 ** j))
+    # q - 4 floor(q / 4): every step is exact, and cheaper than np.remainder
+    q -= 4.0 * np.floor(q * 0.25)
+    return q.astype(np.int64)

@@ -51,7 +51,7 @@ from ldpgauss.analyst import (
     select_subgroup_kv,  # not called here; perfbench/tracing.py wraps this name
     select_subgroup_uv,
 )
-from ldpgauss.numerics import TrialStreams
+from ldpgauss.numerics import BLOCK, TrialStreams
 from ldpgauss.randomizers import (
     LatticeSpec,
     one_round_uv_rr2_values,
@@ -259,11 +259,13 @@ def _sigma_bounds(config: ProtocolConfig) -> Tuple[float, float]:
     return config.variance_mode.sigma_min, config.variance_mode.sigma_max
 
 
+@functools.lru_cache(maxsize=1)
 def plan_partition(config: ProtocolConfig, protocol: str) -> PartitionPlan:
     """Lay out users, levels, and one-round subgroups for a protocol run.
 
     Depends only on public configuration, so the replay path can rebuild the
-    exact plan without the simulation truth.
+    exact plan without the simulation truth. The last plan is kept: a cell's
+    trials and runners share one frozen plan instead of rebuilding it.
     """
     if protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol!r}")
@@ -740,7 +742,7 @@ def _analyze(
 # Runners: users emit, then the analyst decides on the transcript they wrote.
 # Only the user side reads samples, through the randomizer kernels.
 
-_CHUNK = 1 << 14  # users privatized with one streams.matrix and one kernel call
+_CHUNK = BLOCK  # users privatized with one streams.matrix and one kernel call
 
 
 def _runs(blocks):

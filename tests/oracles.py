@@ -6,10 +6,12 @@ from bounded brute-force scans.
 
 The scalar stream below draws one uniform at a time; it is the reference
 for the library's one way to draw, `uniform_block`, which must give the
-same bits for many users at once. The closed-form output laws of one input
-at a time (the discrete laws, the scalar nearest lattice point and the
-noise-adding randomizers' log-densities) are the reference for the privacy
-audit, which calls the kernels on whole grids.
+same bits for many users at once. The whole-array draw and population
+sample beside it are the reference for the library's pieces of BLOCK
+users. The closed-form output laws of one input at a time (the discrete
+laws, the scalar nearest lattice point and the noise-adding randomizers'
+log-densities) are the reference for the privacy audit, which calls the
+kernels on whole grids.
 
 The scalar operations handle one user at a time, drawing from that user's
 RandomStream in a fixed order, and aggregate lists of per-user reports. The
@@ -45,6 +47,7 @@ from ldpgauss.numerics import (
     gaussian_from_uniforms,
     hash_u64,
     laplace_from_uniform,
+    mix64,
 )
 from ldpgauss.protocols import Transcript, _analyze, plan_partition
 from ldpgauss.randomizers import (
@@ -159,6 +162,37 @@ def stream(streams: TrialStreams, user_index: int) -> RandomStream:
 
 def uniforms(stream: RandomStream, count: int) -> np.ndarray:
     return np.array([stream.next_uniform() for _ in range(count)])
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    z = z.astype(np.uint64, copy=True)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def uniform_block_unchunked(master_seed, trial_index, user_indices, first, count):
+    """`uniform_block` as whole-array expressions: every user at once, one
+    fresh array per mix step. The library hashes users in pieces and must
+    give these bits."""
+    idx = np.asarray(user_indices, dtype=np.uint64)
+    sid = _mix64_array(np.uint64(hash_u64(trial_index)) ^ idx)
+    h0 = np.uint64(mix64(0x9E3779B97F4A7C15 ^ (master_seed & ((1 << 64) - 1))))
+    base = _mix64_array(h0 ^ sid)
+    out = np.empty((idx.shape[0], count), dtype=np.float64)
+    for t in range(count):
+        h = _mix64_array(base ^ np.uint64(first + t))
+        out[:, t] = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    return out
+
+
+def sample_population_unchunked(truth, n: int, streams: TrialStreams) -> np.ndarray:
+    """`sample_population` with one Box-Muller over the whole population."""
+    draws = uniform_block_unchunked(streams.master_seed, streams.trial_index, np.arange(n), 0, 2)
+    return gaussian_from_uniforms(draws[:, 0], draws[:, 1], truth.mu, truth.sigma)
 
 
 def sample_gaussian(stream: RandomStream, mu: float, sigma: float) -> float:

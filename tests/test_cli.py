@@ -183,6 +183,43 @@ class TestSimulate:
         assert "--k2=7" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
 
+    # each prefix names one option unambiguously, and is still refused
+    ABBREVIATED = [("--protocol", "--prot"), ("--eps", "--ep"), ("--levels", "--lev"),
+                   ("--trials", "--tri"), ("--transcript", "--trans")]
+
+    def full_args(self, tmp_path):
+        return ["--protocol", "kv2", "--n", "4096", "--eps", "1", "--mu", "10", "--sigma", "1",
+                "--levels", "8", "--trials", "1", "--out", str(tmp_path / "out"),
+                "--transcript", str(tmp_path / "t.jsonl")]
+
+    def test_full_option_names_run(self, tmp_path):
+        assert exit_code(["simulate", *self.full_args(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("full,prefix", ABBREVIATED)
+    def test_abbreviated_option_exits_2(self, tmp_path, capsys, full, prefix):
+        args = self.full_args(tmp_path)
+        args[args.index(full)] = prefix
+        assert exit_code(["simulate", *args]) == 2
+        assert prefix in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("full,prefix", ABBREVIATED)
+    def test_abbreviated_option_in_an_args_file_exits_2(self, tmp_path, capsys, full, prefix):
+        args = self.full_args(tmp_path)
+        at = args.index(full)
+        path = args_file(tmp_path, f"{prefix}={args[at + 1]}")
+        del args[at:at + 2]
+        assert exit_code(["simulate", *args, path]) == 2
+        assert prefix in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,prefix", [
+        ("sweep", "--n-gr=4096,8192"), ("audit", "--ep=1"), ("replay", "--trans=t.jsonl"),
+    ])
+    def test_every_command_refuses_abbreviations(self, capsys, command, prefix):
+        assert exit_code([command, prefix]) == 2
+        assert prefix.split("=")[0] in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--k", "--k1", "--beta", "--trials"])
     def test_zero_is_a_value_not_unset(self, tmp_path, capsys, flag):
         # 0 is out of range for each of these; it must not mean "use the default"

@@ -69,6 +69,24 @@ class TestRunTrials:
         long = run_trials(kv2_spec(trials=6))[0]
         np.testing.assert_array_equal(short.errors, long.errors[:3])
 
+    def test_runners_of_a_cell_share_the_harness_plan(self, monkeypatch):
+        # the harness plans the cell, and each trial's runner reuses that
+        # plan object instead of building the block table again
+        from ldpgauss import protocols
+
+        analyzed, built = [], []
+        analyze, block_table = protocols._analyze, protocols._block_table
+        monkeypatch.setattr(protocols, "_analyze",
+                            lambda plan, *rest: analyzed.append(plan) or analyze(plan, *rest))
+        monkeypatch.setattr(protocols, "_block_table",
+                            lambda plan: built.append(plan) or block_table(plan))
+        protocols.plan_partition.cache_clear()
+        spec = kv2_spec(trials=3)
+        run_trials(spec)
+        cell_plan = protocols.plan_partition(spec.config_for_cell(4096, 1.0, 10.0, 1.0), "kv2")
+        assert len(built) == 1
+        assert len(analyzed) == 3 and all(plan is cell_plan for plan in analyzed)
+
     def test_cell_order_does_not_change_results(self):
         spec_a = kv2_spec(n_values=(4096, 8192), trials=2)
         spec_b = kv2_spec(n_values=(8192,), trials=2)

@@ -7,7 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ldpgauss import numerics
+from ldpgauss.harness import sample_population
 from ldpgauss.numerics import (
+    BLOCK,
     TrialStreams,
     erf_inv,
     floor_div_mod4_array,
@@ -16,15 +18,21 @@ from ldpgauss.numerics import (
     laplace_from_uniform,
     uniform_block,
 )
+from ldpgauss.protocols import SimulationTruth
 from oracles import (
     RandomStream,
     derive_stream_id,
     floor_div_mod4,
     sample_gaussian,
     sample_laplace,
+    sample_population_unchunked,
     stream,
+    uniform_block_unchunked,
     uniforms,
 )
+
+# sizes on both sides of the BLOCK-user pieces the draw path hashes in
+CHUNK_EDGES = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
 
 erf = math.erf
 
@@ -128,6 +136,47 @@ class TestStreams:
         assert hash_u64(1, 2, 3) != hash_u64(3, 2, 1)
 
 
+class TestDrawsInPieces:
+    """uniform_block and sample_population work BLOCK users at a time and
+    must give the bits of the whole-array references in tests/oracles.py."""
+
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("first", [0, 2])
+    def test_uniform_block_matches_unchunked_bitwise(self, n, count, first):
+        users = np.arange(n)
+        got = uniform_block(31, 6, users, first, count)
+        want = uniform_block_unchunked(31, 6, users, first, count)
+        assert got.shape == want.shape == (n, count)
+        assert got.tobytes() == want.tobytes()
+
+    def test_columns_are_contiguous(self):
+        block = uniform_block(1, 2, np.arange(BLOCK + 3), first=0, count=3)
+        assert all(block[:, t].flags.c_contiguous for t in range(3))
+
+    def test_strided_and_huge_user_indices(self):
+        # a non-contiguous view of indices at and above 2^62, up to 2^64 - 1
+        top = np.uint64(2 ** 64 - 1)
+        users = np.concatenate([
+            np.arange(2 * BLOCK + 9, dtype=np.uint64) * np.uint64(3) + np.uint64(2 ** 62),
+            top - np.arange(BLOCK + 2, dtype=np.uint64),
+        ])[::2]
+        assert not users.flags.c_contiguous
+        got = uniform_block(2 ** 40, 9, users, first=2, count=2)
+        assert got.tobytes() == uniform_block_unchunked(2 ** 40, 9, users, 2, 2).tobytes()
+
+    def test_python_list_of_indices(self):
+        users = [0, 5, 2 ** 62, 2 ** 64 - 1, 17] * (BLOCK // 4)
+        got = uniform_block(3, 4, users, first=1, count=2)
+        assert got.tobytes() == uniform_block_unchunked(3, 4, users, 1, 2).tobytes()
+
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    def test_sample_population_matches_unchunked_bitwise(self, n):
+        truth, streams = SimulationTruth(mu=10.0, sigma=3.0), TrialStreams(8, hash_u64(1, 2))
+        got = sample_population(truth, n, streams)
+        assert got.tobytes() == sample_population_unchunked(truth, n, streams).tobytes()
+
+
 class TestGaussian:
     def test_degenerate_sigma_limit(self):
         s = RandomStream(1, 1)
@@ -210,6 +259,38 @@ class TestFloorDivMod4:
         xs = np.array([-7.5, -1.5, 0.0, 0.999, 5.0, 16.0, 1e9])
         got = floor_div_mod4_array(xs, 2)
         assert list(got) == [floor_div_mod4(float(v), 2) for v in xs]
+
+    def test_hard_inputs_match_remainder_and_exact_oracle(self):
+        # q - 4 floor(q / 4) against np.remainder's q % 4 and exact rationals
+        # on signed zeros, the ends of exact integers, the largest and the
+        # subnormal doubles, over one level per x from -1074 to 960
+        tiny = np.nextafter(0.0, 1.0)
+        specials = np.array([
+            0.0, 1.0, 3.5, 2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 53 - 1, 2.0 ** 54 + 4,
+            1e308, np.finfo(float).max, tiny, 3 * tiny, 2.0 ** -1022, 0.75 * 2.0 ** -1022,
+            1e-300, 12345.678,
+        ])
+        specials = np.concatenate([specials, -specials])
+        js = np.arange(-1074, 961)
+        xs = np.repeat(specials, js.size)
+        levels = np.tile(js, specials.size)
+        rng = np.random.default_rng(11)
+        xs = np.concatenate([xs, rng.normal(0.0, 1.0, 1 << 16) * 2.0 ** rng.integers(-1074, 1000, 1 << 16)])
+        levels = np.concatenate([levels, rng.integers(-1074, 961, 1 << 16)])
+        with np.errstate(over="ignore"):
+            quotients = xs / 2.0 ** levels
+        finite = np.isfinite(quotients)
+        xs, levels, quotients = xs[finite], levels[finite], quotients[finite]
+        got = floor_div_mod4_array(xs, levels)
+        assert got.tobytes() == (np.floor(quotients) % 4.0).astype(np.int64).tobytes()
+        assert set(np.unique(got).tolist()) == {0, 1, 2, 3}
+        # where x / 2^j rounds, the float path and the exact rational differ
+        # by design; everywhere else they agree
+        exact = [i for i in range(0, xs.size, 7)
+                 if Fraction(float(quotients[i])) == Fraction(float(xs[i])) / Fraction(2) ** int(levels[i])]
+        assert len(exact) > 1000
+        assert [int(got[i]) for i in exact] == [
+            floor_mod4_oracle(float(xs[i]), int(levels[i])) for i in exact]
 
     def test_per_user_levels_match_scalar_levels_bitwise(self):
         # one level per x, over every j whose 2^j is a finite double

@@ -145,6 +145,29 @@ class TestPlanPartition:
         with pytest.raises(ConfigError):
             plan_partition(make_config("uv2", sigma=3.0), "kv2")
 
+    def test_bad_config_raises_on_every_call(self):
+        # the plan cache keeps plans, never errors
+        config = make_config("kv2", n=10, k=100)
+        for _ in range(3):
+            with pytest.raises(ConfigError, match="cannot fill one level"):
+                plan_partition(config, "kv2")
+
+    @pytest.mark.parametrize("protocol", sorted(RUNNERS))
+    def test_equal_configs_spelled_differently_give_the_same_bits(self, protocol):
+        # eps=1 and eps=1.0 are one cache key, so a run of either may get
+        # the plan the other built; nothing it returns may tell them apart
+        as_int = make_config(protocol, n=2 ** 12, eps=1, k1=256, sigma=3.0)
+        as_float = make_config(protocol, n=2 ** 12, eps=1.0, k1=256, sigma=3.0)
+        assert as_int == as_float
+        plan_partition.cache_clear()
+        fresh_outcome, fresh = run_once(protocol, as_float)
+        plan_partition.cache_clear()
+        assert type(plan_partition(as_int, protocol).eps) is int
+        outcome, shared = run_once(protocol, as_float)
+        assert type(plan_partition(as_float, protocol).eps) is int  # the int plan was reused
+        assert repr(outcome.as_dict()) == repr(fresh_outcome.as_dict())
+        assert shared.dumps() == fresh.dumps()
+
     def test_plan_is_deterministic(self):
         a = plan_partition(make_config("uv1", sigma=3.0), "uv1")
         b = plan_partition(make_config("uv1", sigma=3.0), "uv1")
