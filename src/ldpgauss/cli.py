@@ -45,10 +45,6 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _float_list(text: str):
     return tuple(float(v) for v in text.split(",") if v.strip() != "")
 
@@ -115,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _require(opts: dict, *names) -> None:
     missing = [name for name in names if opts[name] is None]
     if missing:
-        raise UsageError(f"missing required options: {', '.join('--' + m.replace('_', '-') for m in missing)}")
+        raise ConfigError(f"missing required options: {', '.join('--' + m.replace('_', '-') for m in missing)}")
 
 
 def _variance_args(opts: dict):
@@ -123,7 +119,7 @@ def _variance_args(opts: dict):
     protocol = opts["protocol"]
     if protocol in ("kv2", "kv1"):
         if opts["sigma_min"] is not None or opts["sigma_max"] is not None:
-            raise UsageError(f"{protocol} uses --sigma, not --sigma-min/--sigma-max")
+            raise ConfigError(f"{protocol} uses --sigma, not --sigma-min/--sigma-max")
         return None
     _require(opts, "sigma_min", "sigma_max")
     return (opts["sigma_min"], opts["sigma_max"])
@@ -190,16 +186,16 @@ def _cmd_sweep(opts: dict) -> int:
     _require(opts, "protocol", "trials")
     for name in ("n", "eps", "mu", "sigma"):
         if opts[name] is not None and opts[f"{name}_grid"] is not None:
-            raise UsageError(f"sweep takes --{name} or --{name}-grid, not both")
+            raise ConfigError(f"sweep takes --{name} or --{name}-grid, not both")
     # a scalar is a value when given, 0 included; the run rejects bad ones
     n_values, eps_values, mu_values, sigma_values = (
         opts[f"{name}_grid"] or ([opts[name]] if opts[name] is not None else None)
         for name in ("n", "eps", "mu", "sigma")
     )
     if not n_values:
-        raise UsageError("sweep needs --n-grid (or --n)")
+        raise ConfigError("sweep needs --n-grid (or --n)")
     if not (eps_values and mu_values and sigma_values):
-        raise UsageError("sweep needs eps, mu, and sigma values (grid or scalar)")
+        raise ConfigError("sweep needs eps, mu, and sigma values (grid or scalar)")
     spec = _spec_from(opts, n_values, eps_values, mu_values, sigma_values)
     cells = run_trials(spec)
     if not opts["timing"]:
@@ -219,7 +215,7 @@ def _cmd_sweep(opts: dict) -> int:
 def _cmd_audit(opts: dict) -> int:
     eps_values = opts["eps"]
     if not eps_values:
-        raise UsageError("audit needs at least one eps")
+        raise ConfigError("audit needs at least one eps")
     rows = default_audit_report(eps_values)
     failures = [row for row in rows if not row["ok"]]
     for row in rows:
@@ -272,7 +268,7 @@ def main(argv=None) -> int:
         if opts["command"] == "audit":
             return _cmd_audit(opts)
         return _cmd_replay(opts)
-    except (UsageError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MalformedInputError as exc:

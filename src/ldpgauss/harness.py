@@ -1,8 +1,9 @@
 """Monte Carlo experiment runner, privacy auditor, and result persistence.
 
 Privacy audits are analytic, because empirical frequencies cannot certify a
-multiplicative e^eps bound. They call the kernels that users run on a whole
-input grid at once, with the draw that keeps the true report or adds zero
+multiplicative e^eps bound. They call the runners' own dispatch,
+`protocols.privatize`, with a block's kind, params and broadcast, on a whole
+input grid at once and with the draw that keeps the true report or adds zero
 noise: a discrete randomizer's output law is that report kept with the keep
 probability, and a noise-adding one's is Laplace noise about it.
 Statistical checks with standard-error tolerances live in the test suite
@@ -20,7 +21,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,16 +35,9 @@ from ldpgauss.protocols import (
     ProtocolConfig,
     SimulationTruth,
     plan_partition,
+    privatize,
 )
-from ldpgauss.randomizers import (
-    LatticeSpec,
-    one_round_uv_rr2_values,
-    quad_keep_prob,
-    rr1_values,
-    sign_keep_prob,
-    sign_rr_values,
-    uv_rr2_values,
-)
+from ldpgauss.randomizers import quad_keep_prob, sign_keep_prob
 
 def sample_population(truth: SimulationTruth, n: int, streams: TrialStreams) -> np.ndarray:
     """Draw each user's sample from their own stream (columns 0 and 1).
@@ -261,31 +255,26 @@ def _require_finite_eps(eps: float) -> None:
 
 
 def audit_privacy_discrete(
-    randomizer: str, eps: float, input_grid: Sequence[float], params: dict
+    eps: float, kind: str, params: tuple, broadcast: Optional[dict], sigma: Optional[float],
+    input_grid: Sequence[float],
 ) -> float:
-    """Worst-case output-probability ratio across all input pairs.
+    """Worst-case output-probability ratio across all input pairs, for the
+    users of a `quad` or `sign` block with `params` under `broadcast`.
 
-    The true report of every input on the grid (the quad digit, or the sign
-    of the residual to the center) is the kernel's report under a keep draw
-    of 0. It is kept with the keep probability, else replaced by each other
-    output alike. The result is max over inputs x, x' and outputs a of
-    P[a|x] / P[a|x'].
+    The true report of every input on the grid is the one `privatize` gives
+    under an all-zero draw matrix, which keeps it. It is kept with the keep
+    probability, else replaced by each other output alike. The result is max
+    over inputs x, x' and outputs a of P[a|x] / P[a|x'].
     """
     _require_finite_eps(eps)
-    xs = np.asarray(input_grid, dtype=np.float64)
-    kept = np.zeros(xs.size)
-    if randomizer == "rr1":
+    if kind == "quad":
         keep, outputs = quad_keep_prob(eps), np.arange(4)
-        truth = rr1_values(eps, xs, params.get("level_j", 0), kept, kept)
-    elif randomizer in ("kv_rr2", "one_round_kv_rr2"):
+    elif kind == "sign":
         keep, outputs = sign_keep_prob(eps), np.array([-1, 1])
-        if randomizer == "kv_rr2":
-            centers = params["mu_hat1"]
-        else:
-            centers = params["lattice"].nearest_points(xs)
-        truth = sign_rr_values(eps, xs, centers, params["sigma"], kept)
     else:
-        raise ValueError(f"unknown discrete randomizer {randomizer!r}")
+        raise ValueError(f"kind {kind!r} is not a discrete randomizer")
+    xs = np.asarray(input_grid, dtype=np.float64)
+    truth = privatize(eps, sigma, kind, xs, np.zeros((xs.size, 2)), params, broadcast)
     law = np.where(truth[:, None] == outputs, keep, (1.0 - keep) / (outputs.size - 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = law[:, None, :] / law[None, :, :]
@@ -296,27 +285,41 @@ def audit_privacy_discrete(
 
 
 def audit_privacy_laplace(
-    eps: float,
-    center: Callable[[np.ndarray], np.ndarray],
-    scale: float,
-    x_pairs: Iterable[Tuple[float, float]],
-    y_grid: Sequence[float],
+    eps: float, params: tuple, broadcast: Optional[dict],
+    x_pairs: Iterable[Tuple[float, float]], y_grid: Sequence[float],
 ) -> float:
-    """Worst log-density ratio of a noise-adding randomizer, whose output
-    given input x is Laplace(scale) noise about center(x): the largest
+    """Worst log-density ratio of a `real` block with `params` under
+    `broadcast`, whose output given input x is Laplace noise about the report
+    `privatize` gives under a noise draw of 1/2 (which adds zero noise). The
+    noise scale is the lattice block's numerator / eps, or the broadcast
+    interval's width / eps. The result is the largest
     |log f(y | x1) - log f(y | x2)| over the pairs and the grid."""
     _require_finite_eps(eps)
+    width = params[2] if params else broadcast["interval_hi"] - broadcast["interval_lo"]
+    scale = width / eps
     pairs = np.asarray(list(x_pairs), dtype=np.float64).reshape(-1, 2)
     ys = np.asarray(y_grid, dtype=np.float64)
 
     def log_density(xs):  # one row per input, one column per output
-        return -np.abs(ys - center(xs)[:, None]) / scale - math.log(2.0 * scale)
+        center = privatize(eps, None, "real", xs, np.full((xs.size, 1), 0.5), params, broadcast)
+        return -np.abs(ys - center[:, None]) / scale - math.log(2.0 * scale)
 
     return float(np.max(np.abs(log_density(pairs[:, 0]) - log_density(pairs[:, 1])), initial=0.0))
 
 
+# The five randomizers as blocks of a run: (name, kind, params, broadcast).
+_AUDITED = (
+    ("rr1", "quad", (0,), None),
+    ("kv_rr2", "sign", (), {"mu_hat1": 0.3}),
+    ("one_round_kv_rr2", "sign", (0.7, 3.0), None),
+    ("uv_rr2", "real", (), {"interval_lo": -2.0, "interval_hi": 3.0}),
+    ("one_round_uv_rr2", "real", (0.7, 3.0, 6.0), None),
+)
+
+
 def default_audit_report(eps_values: Sequence[float]) -> List[dict]:
-    """Audit all five randomizers on standard grids for each budget.
+    """Audit all five randomizers, each as a block's kind, params and
+    broadcast with sigma 1, on standard grids for each budget.
 
     Discrete randomizers must achieve their e^eps bound (tightness) to a
     relative 1e-9, which rounding stays within up to about eps = 16; continuous
@@ -324,33 +327,20 @@ def default_audit_report(eps_values: Sequence[float]) -> List[dict]:
     """
     rows = []
     inputs = list(np.linspace(-10.0, 10.0, 41))
-    lattice = LatticeSpec(0.7, 3.0)
     lo, hi = -2.0, 3.0
     pairs = [(a, b) for a in inputs for b in (-10.0, lo, 0.0, hi, 10.0)]
     ys = list(np.linspace(-12.0, 12.0, 33)) + [lo, hi]
     for eps in eps_values:
-        bound = math.exp(eps)
-        for name, params in (
-            ("rr1", {"level_j": 0}),
-            ("kv_rr2", {"mu_hat1": 0.3, "sigma": 1.0}),
-            ("one_round_kv_rr2", {"lattice": lattice, "sigma": 1.0}),
-        ):
-            ratio = audit_privacy_discrete(name, eps, inputs, params)
-            rows.append({
-                "randomizer": name, "eps": eps, "measure": "max_ratio", "value": ratio,
-                "bound": bound, "ok": math.isclose(ratio, bound, rel_tol=1e-9),
-            })
-        # a noise draw of 1/2 adds exactly zero noise
-        for name, center, scale in (
-            ("uv_rr2", lambda xs: uv_rr2_values(eps, xs, lo, hi, 0.5), (hi - lo) / eps),
-            ("one_round_uv_rr2", lambda xs: one_round_uv_rr2_values(
-                eps, xs, lattice, 2.0 * lattice.spacing, 0.5), 2.0 * lattice.spacing / eps),
-        ):
-            log_gap = audit_privacy_laplace(eps, center, scale, pairs, ys)
-            rows.append({
-                "randomizer": name, "eps": eps, "measure": "max_log_ratio",
-                "value": log_gap, "bound": eps, "ok": log_gap <= eps + 1e-12,
-            })
+        for name, kind, params, broadcast in _AUDITED:
+            if kind == "real":
+                value = audit_privacy_laplace(eps, params, broadcast, pairs, ys)
+                measure, bound, ok = "max_log_ratio", eps, value <= eps + 1e-12
+            else:
+                value = audit_privacy_discrete(eps, kind, params, broadcast, 1.0, inputs)
+                measure, bound = "max_ratio", math.exp(eps)
+                ok = math.isclose(value, bound, rel_tol=1e-9)
+            rows.append({"randomizer": name, "eps": eps, "measure": measure,
+                         "value": value, "bound": bound, "ok": ok})
     return rows
 
 

@@ -100,6 +100,8 @@ class KnownSigma:
     def __post_init__(self):
         if not self.sigma > 0.0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        if self.sigma == math.inf:
+            raise ConfigError(f"sigma must be finite, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -108,9 +110,9 @@ class BoundedSigma:
     sigma_max: float
 
     def __post_init__(self):
-        if not (0.0 < self.sigma_min <= self.sigma_max):
+        if not 0.0 < self.sigma_min <= self.sigma_max < math.inf:
             raise ConfigError(
-                f"need 0 < sigma_min <= sigma_max, got [{self.sigma_min}, {self.sigma_max}]"
+                f"need 0 < sigma_min <= sigma_max < inf, got [{self.sigma_min}, {self.sigma_max}]"
             )
 
 
@@ -122,6 +124,8 @@ class SimulationTruth:
     sigma: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+            raise ConfigError(f"true mu and sigma must be finite, got {self.mu} and {self.sigma}")
         if not self.sigma > 0.0:
             raise ConfigError(f"true sigma must be positive, got {self.sigma}")
 
@@ -761,22 +765,23 @@ def _runs(blocks):
         yield run
 
 
-def _privatize(plan: PartitionPlan, kind: str, x, draws, params: tuple, broadcast):
-    """One kernel call: reports of users with samples `x` and draws `draws`,
-    under `params` (a block's params, repeated per user)."""
+def privatize(eps: float, sigma, kind: str, x, draws, params, broadcast):
+    """One kernel call, the one map from a block to its kernel: reports of
+    users with samples `x` and draws `draws` in a block of `kind` with
+    `params` (a block's, or arrays of one entry per user) under its round's
+    `broadcast`; sigma is the sign kind's. The audits in `harness` call it
+    with a block's kind, params and broadcast."""
     if kind == "quad":
-        return rr1_values(plan.eps, x, params[0], draws[:, 0], draws[:, 1])
+        return rr1_values(eps, x, params[0], draws[:, 0], draws[:, 1])
     if kind == "sign":
         # kv2's round two is centered on the broadcast
         centers = LatticeSpec(*params).nearest_points(x) if params else broadcast["mu_hat1"]
-        return sign_rr_values(plan.eps, x, centers, plan.sigma, draws[:, 0])
+        return sign_rr_values(eps, x, centers, sigma, draws[:, 0])
     if not params:  # uv2's round two, clamped to the broadcast
         lo, hi = broadcast["interval_lo"], broadcast["interval_hi"]
-        return uv_rr2_values(plan.eps, x, lo, hi, draws[:, 0])
+        return uv_rr2_values(eps, x, lo, hi, draws[:, 0])
     offset, spacing, numerator = params
-    return one_round_uv_rr2_values(
-        plan.eps, x, LatticeSpec(offset, spacing), numerator, draws[:, 0]
-    )
+    return one_round_uv_rr2_values(eps, x, LatticeSpec(offset, spacing), numerator, draws[:, 0])
 
 
 def _run(protocol: str, config: ProtocolConfig, samples, streams: TrialStreams):
@@ -784,6 +789,8 @@ def _run(protocol: str, config: ProtocolConfig, samples, streams: TrialStreams):
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape != (config.n,):
         raise ConfigError(f"expected {config.n} samples, got shape {samples.shape}")
+    if not np.isfinite(samples).all():
+        raise ConfigError("samples must be finite")
     transcript = Transcript(protocol, config.n)
 
     def emit(round_no: int, broadcast: Optional[dict] = None) -> None:
@@ -807,7 +814,7 @@ def _run(protocol: str, config: ProtocolConfig, samples, streams: TrialStreams):
                 part = slice(lo, lo + _CHUNK)
                 draws = streams.matrix(users[part], first=2, count=2 if kind == "quad" else 1)
                 chunk = [p[part] for p in params]
-                values[part] = _privatize(plan, kind, x[part], draws, chunk, broadcast)
+                values[part] = privatize(plan.eps, plan.sigma, kind, x[part], draws, chunk, broadcast)
             for block in run:
                 part = slice(block.start - start, block.start - start + block.count)
                 transcript.add_messages(round_no, block.tag, kind, users[part], values[part])

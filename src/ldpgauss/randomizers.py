@@ -9,8 +9,8 @@ many subgroups and give each the bits of a call for their subgroup alone.
 The kernels are the only code that reads raw samples, and the one
 implementation of user-side randomization. Every randomizer satisfies a
 pure epsilon local-privacy bound. The exact audits in `harness` certify it
-by calling these kernels with the draw that keeps the true report or adds
-zero noise.
+by calling these kernels through `protocols.privatize`, as runs do, with the
+draw that keeps the true report or adds zero noise.
 """
 
 from __future__ import annotations

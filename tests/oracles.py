@@ -242,19 +242,20 @@ def sign_rr_distribution(eps: float, true_sign: int) -> np.ndarray:
     return np.array([p, 1.0 - p])
 
 
-def discrete_audit_ratio(randomizer: str, eps: float, input_grid, params: dict) -> float:
-    """max over inputs x, x' and outputs a of P[a|x] / P[a|x'], from the
-    closed-form laws of one input at a time (0/0 counts as 1)."""
+def discrete_audit_ratio(eps: float, kind: str, params: tuple, broadcast, sigma, input_grid) -> float:
+    """max over inputs x, x' and outputs a of P[a|x] / P[a|x'] for the users
+    of a quad or sign block, from the closed-form laws of one input at a time
+    (0/0 counts as 1)."""
     dists = []
     for x in input_grid:
-        if randomizer == "rr1":
-            dists.append(rr1_distribution(eps, x, params.get("level_j", 0)))
+        if kind == "quad":
+            dists.append(rr1_distribution(eps, x, params[0]))
             continue
-        if randomizer == "kv_rr2":
-            center = params["mu_hat1"]
+        if params:
+            center = nearest_point(LatticeSpec(*params), x)
         else:
-            center = nearest_point(params["lattice"], x)
-        dists.append(sign_rr_distribution(eps, 1 if (x - center) / params["sigma"] >= 0.0 else -1))
+            center = broadcast["mu_hat1"]
+        dists.append(sign_rr_distribution(eps, 1 if (x - center) / sigma >= 0.0 else -1))
     stacked = np.stack(dists)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = stacked[:, None, :] / stacked[None, :, :]

@@ -304,6 +304,25 @@ class TestSweep:
         assert not (tmp_path / "results.csv").exists()
 
 
+@pytest.mark.parametrize("protocol,flag,value", [
+    ("kv2", "--sigma", "inf"), ("uv1", "--sigma-max", "inf"), ("kv2", "--mu", "inf"), ("kv2", "--mu", "nan"),
+])
+def test_non_finite_value_exits_2_naming_it(tmp_path, capsys, protocol, flag, value):
+    args = [
+        "simulate", "--protocol", protocol, "--n", "4096", "--eps", "1", "--mu", "0",
+        "--trials", "1", "--out", str(tmp_path),
+    ]
+    if protocol == "kv2":
+        args += ["--sigma", "1", "--k", "256"]
+    else:
+        args += ["--sigma", "3", "--sigma-min", "2", "--sigma-max", "16", "--k1", "256"]
+    args[args.index(flag) + 1] = value
+    assert exit_code(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and value in err and "Traceback" not in err
+    assert not (tmp_path / "results.csv").exists()
+
+
 # sha256 of (results.csv, summary.csv), as written before the k2 override
 # was deleted: `simulate` at n = 2^12 with 3 trials, and a two-cell kv2 sweep
 GOLDEN_CSV = [
@@ -382,6 +401,23 @@ class TestAudit:
         monkeypatch.setattr(harness, "quad_keep_prob", always_truthful)
         assert cli.main(["audit", "--eps", "1"]) == 1
         assert "VIOLATION" in capsys.readouterr().out
+
+    def test_faulty_dispatch_detected(self, monkeypatch, capsys):
+        # the audit reaches the kernels through the runners' own dispatch, so
+        # a fault there fails it: here uv2's round two clamps one unit too wide
+        import numpy as np
+
+        from ldpgauss import protocols
+        from ldpgauss.numerics import laplace_from_uniform
+
+        def loose_clamp(eps, xs, lo, hi, u_noise):
+            wide = np.clip(np.asarray(xs, dtype=np.float64), lo - 1.0, hi + 1.0)
+            return wide + laplace_from_uniform(np.asarray(u_noise), (hi - lo) / eps)
+
+        monkeypatch.setattr(protocols, "uv_rr2_values", loose_clamp)
+        assert cli.main(["audit", "--eps", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "VIOLATION uv_rr2 eps=1.0 max_log_ratio=1.4000000000000004 bound=1.0" in lines
 
     def test_golden_stdout(self, capsys):
         assert cli.main(["audit", "--eps", "0.1,0.5,1,2,10"]) == 0

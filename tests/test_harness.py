@@ -16,7 +16,7 @@ from ldpgauss.harness import (
 )
 from ldpgauss.numerics import TrialStreams, hash_u64, uniform_block
 from ldpgauss.protocols import ConfigError
-from ldpgauss.randomizers import LatticeSpec, one_round_uv_rr2_values, uv_rr2_values
+from ldpgauss.randomizers import LatticeSpec
 from oracles import discrete_audit_ratio, one_round_uv_rr2_log_density, uv_rr2_log_density
 
 
@@ -129,80 +129,74 @@ class TestRunTrials:
 class TestDiscreteAudit:
     def test_rr1_ratio_is_exactly_exp_eps(self):
         for eps in (0.1, 0.5, 1.0, 2.0):
-            ratio = audit_privacy_discrete("rr1", eps, [0.0, 1.0, 2.5, -4.0], {"level_j": 0})
+            ratio = audit_privacy_discrete(eps, "quad", (0,), None, None, [0.0, 1.0, 2.5, -4.0])
             assert ratio == pytest.approx(math.exp(eps), abs=1e-9)
 
     def test_kv_rr2_ratio_is_exactly_exp_eps(self):
-        ratio = audit_privacy_discrete(
-            "kv_rr2", 1.0, [-3.0, 0.4, 2.0], {"mu_hat1": 0.3, "sigma": 1.0}
-        )
+        ratio = audit_privacy_discrete(1.0, "sign", (), {"mu_hat1": 0.3}, 1.0, [-3.0, 0.4, 2.0])
         assert ratio == pytest.approx(math.e, abs=1e-9)
 
     def test_identical_distributions_give_ratio_one(self):
         # Inputs mapping to the same quad value cannot be told apart.
-        ratio = audit_privacy_discrete("rr1", 1.0, [4.0, 4.2, 4.9], {"level_j": 0})
+        ratio = audit_privacy_discrete(1.0, "quad", (0,), None, None, [4.0, 4.2, 4.9])
         assert ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_one_round_kv_rr2(self):
-        ratio = audit_privacy_discrete(
-            "one_round_kv_rr2", 0.5, [-5.0, 0.0, 5.0, 10.0],
-            {"lattice": LatticeSpec(0.7, 3.0), "sigma": 1.0},
-        )
+        ratio = audit_privacy_discrete(0.5, "sign", (0.7, 3.0), None, 1.0, [-5.0, 0.0, 5.0, 10.0])
         assert ratio == pytest.approx(math.exp(0.5), abs=1e-9)
 
     def test_infinite_eps_rejected(self):
         with pytest.raises(ValueError):
-            audit_privacy_discrete("rr1", math.inf, [0.0], {"level_j": 0})
+            audit_privacy_discrete(math.inf, "quad", (0,), None, None, [0.0])
 
-    def test_unknown_randomizer_rejected(self):
-        with pytest.raises(ValueError, match="unknown discrete randomizer"):
-            audit_privacy_discrete("rr3", 1.0, [0.0], {})
+    def test_real_kind_is_not_a_discrete_randomizer(self):
+        with pytest.raises(ValueError, match="not a discrete randomizer"):
+            audit_privacy_discrete(1.0, "real", (), {"interval_lo": 0.0, "interval_hi": 1.0}, None, [0.0])
 
     @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 2.0, math.log(3.0), 7.5])
-    @pytest.mark.parametrize("name,params", [
-        ("rr1", {"level_j": 0}),
-        ("rr1", {"level_j": -3}),
-        ("kv_rr2", {"mu_hat1": 0.3, "sigma": 1.0}),
-        ("one_round_kv_rr2", {"lattice": LatticeSpec(0.7, 3.0), "sigma": 1.0}),
+    @pytest.mark.parametrize("kind,params,broadcast", [
+        ("quad", (0,), None),
+        ("quad", (-3,), None),
+        ("sign", (), {"mu_hat1": 0.3}),
+        ("sign", (0.7, 3.0), None),
     ])
-    def test_grid_law_matches_closed_form_per_input(self, eps, name, params):
-        # the law of the whole grid from the kernels' array maps gives the
+    def test_grid_law_matches_closed_form_per_input(self, eps, kind, params, broadcast):
+        # the law of the whole grid from the runners' kernel calls gives the
         # ratio of the closed-form laws of one input at a time, bit for bit
         grid = list(np.linspace(-10.0, 10.0, 41)) + [0.35, 1.5 - 2.0 ** -40, -0.125]
-        assert audit_privacy_discrete(name, eps, grid, params) == discrete_audit_ratio(
-            name, eps, grid, params)
+        assert audit_privacy_discrete(eps, kind, params, broadcast, 1.0, grid) == discrete_audit_ratio(
+            eps, kind, params, broadcast, 1.0, grid)
 
 
-def clamped(eps, lo, hi):
-    """uv_rr2's noise center as a function of the inputs (a noise draw of 1/2
-    adds zero noise), and its noise scale."""
-    return lambda xs: uv_rr2_values(eps, xs, lo, hi, 0.5), (hi - lo) / eps
+def clamped(lo, hi):
+    """uv_rr2's block params and broadcast: clamp to [lo, hi], and add
+    Laplace((hi - lo)/eps) noise."""
+    return (), {"interval_lo": lo, "interval_hi": hi}
 
 
-def lattice_residual(eps, lattice):
-    """one_round_uv_rr2's noise center and scale, like `clamped`."""
-    numerator = 2.0 * lattice.spacing
-    return lambda xs: one_round_uv_rr2_values(eps, xs, lattice, numerator, 0.5), numerator / eps
+def lattice_residual(lattice):
+    """one_round_uv_rr2's block params and broadcast, like `clamped`: the
+    residual to `lattice` plus noise of numerator twice its spacing."""
+    return (lattice.offset, lattice.spacing, 2.0 * lattice.spacing), None
 
 
 class TestLaplaceAudit:
     def test_same_input_zero_ratio(self):
-        got = audit_privacy_laplace(1.0, *clamped(1.0, 0.0, 1.0), [(0.3, 0.3)], [0.0, 0.5, 2.0])
+        got = audit_privacy_laplace(1.0, *clamped(0.0, 1.0), [(0.3, 0.3)], [0.0, 0.5, 2.0])
         assert got == 0.0
 
     def test_opposite_endpoints_saturate_eps(self):
         # y beyond an endpoint sees the full sensitivity |I|.
-        got = audit_privacy_laplace(
-            1.7, *clamped(1.7, 0.0, 1.0), [(0.0, 1.0)], [-3.0, 0.0, 1.0, 5.0])
+        got = audit_privacy_laplace(1.7, *clamped(0.0, 1.0), [(0.0, 1.0)], [-3.0, 0.0, 1.0, 5.0])
         assert got == pytest.approx(1.7, abs=1e-12)
 
     def test_clamping_collision_zero_ratio(self):
-        got = audit_privacy_laplace(1.0, *clamped(1.0, 0.0, 1.0), [(5.0, 99.0)], [0.2, 1.4])
+        got = audit_privacy_laplace(1.0, *clamped(0.0, 1.0), [(5.0, 99.0)], [0.2, 1.4])
         assert got == 0.0
 
     def test_infinite_eps_rejected(self):
         with pytest.raises(ValueError, match="finite positive eps"):
-            audit_privacy_laplace(math.inf, *clamped(1.0, 0.0, 1.0), [(0.0, 1.0)], [0.0])
+            audit_privacy_laplace(math.inf, *clamped(0.0, 1.0), [(0.0, 1.0)], [0.0])
 
     def test_lattice_variant_stays_below_eps(self):
         lattice = LatticeSpec(0.0, 4.0)
@@ -211,8 +205,7 @@ class TestLaplaceAudit:
         # only approaches opposite half-spacings: the doubled noise scale
         # keeps the log ratio strictly below eps/2.
         pairs.append((2.0, -2.0 + 1e-9))
-        got = audit_privacy_laplace(
-            2.0, *lattice_residual(2.0, lattice), pairs, np.linspace(-8, 8, 17))
+        got = audit_privacy_laplace(2.0, *lattice_residual(lattice), pairs, np.linspace(-8, 8, 17))
         assert got <= 1.0 + 1e-12
         assert got == pytest.approx(1.0, abs=1e-6)
 
@@ -220,21 +213,21 @@ class TestLaplaceAudit:
     @pytest.mark.parametrize("name", ["uv_rr2", "one_round_uv_rr2"])
     def test_grid_gap_matches_scalar_log_densities(self, eps, name):
         # on the default report's grids, the gap over whole grids from the
-        # kernels is the largest gap of the scalar log-densities, one pair
-        # and one output at a time, bit for bit
+        # runners' kernel calls is the largest gap of the scalar
+        # log-densities, one pair and one output at a time, bit for bit
         inputs = list(np.linspace(-10.0, 10.0, 41))
         lattice, lo, hi = LatticeSpec(0.7, 3.0), -2.0, 3.0
         pairs = [(a, b) for a in inputs for b in (-10.0, lo, 0.0, hi, 10.0)]
         ys = list(np.linspace(-12.0, 12.0, 33)) + [lo, hi]
         if name == "uv_rr2":
-            center, scale = clamped(eps, lo, hi)
+            block = clamped(lo, hi)
             log_density = lambda x, y: uv_rr2_log_density(eps, lo, hi, x, y)
         else:
-            center, scale = lattice_residual(eps, lattice)
+            block = lattice_residual(lattice)
             log_density = lambda x, y: one_round_uv_rr2_log_density(
                 eps, lattice, 2.0 * lattice.spacing, x, y)
         want = max(abs(log_density(x1, y) - log_density(x2, y)) for x1, x2 in pairs for y in ys)
-        assert audit_privacy_laplace(eps, center, scale, pairs, ys) == want
+        assert audit_privacy_laplace(eps, *block, pairs, ys) == want
         row = next(row for row in default_audit_report([eps]) if row["randomizer"] == name)
         assert row["value"] == want
 

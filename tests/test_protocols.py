@@ -139,6 +139,15 @@ class TestPlanPartition:
         with pytest.raises(ConfigError):
             plan_partition(make_config("kv2"), "nope")
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values_rejected(self, value):
+        for build in (
+            KnownSigma, lambda v: BoundedSigma(2.0, v),
+            lambda v: SimulationTruth(v, 1.0), lambda v: SimulationTruth(0.0, v),
+        ):
+            with pytest.raises(ConfigError, match=str(value)):
+                build(value)
+
     def test_mode_mismatch_is_config_error(self):
         with pytest.raises(ConfigError):
             plan_partition(make_config("kv2"), "uv2")
@@ -194,6 +203,19 @@ class TestPlanPartition:
         if k2 is not None:
             assert k2 == (2 ** 14 // 2) // len(plan.group_keys)
         assert plan.discarded == discarded
+
+
+class TestSamples:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("protocol", ["kv2", "kv1", "uv2", "uv1"])
+    def test_non_finite_sample_rejected(self, protocol, value):
+        # sign(nan) is -1, so a NaN sample would quietly report a sign
+        config = make_config(protocol, k1=1024)
+        streams = TrialStreams(3, 0)
+        samples = sample_population(config.truth, config.n, streams)
+        samples[config.n // 2:] = value
+        with pytest.raises(ConfigError, match="samples must be finite"):
+            RUNNERS[protocol](config, samples, streams)
 
 
 class TestKVTwoRound:
