@@ -26,6 +26,7 @@ block for block.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import re
@@ -78,6 +79,10 @@ _LEVEL_SIZE_C = 8.0
 # for rounding.
 _LAPLACE_REACH = 40.0
 
+# Box-Muller never sees u1 < 2^-54 either, so a standard Gaussian draw stays
+# within sqrt(108 ln 2) < 8.66 of zero.
+_BOX_MULLER_REACH = 8.66
+
 
 class ConfigError(ValueError):
     """The configuration cannot produce a valid partition or run."""
@@ -128,6 +133,11 @@ class SimulationTruth:
             raise ConfigError(f"true mu and sigma must be finite, got {self.mu} and {self.sigma}")
         if not self.sigma > 0.0:
             raise ConfigError(f"true sigma must be positive, got {self.sigma}")
+        if not math.isfinite(abs(self.mu) + _BOX_MULLER_REACH * self.sigma):
+            raise ConfigError(
+                f"true sigma {self.sigma} is too large: with mu {self.mu}, samples "
+                f"mu + sigma z for |z| up to {_BOX_MULLER_REACH} overflow"
+            )
 
 
 @dataclass(frozen=True)
@@ -362,10 +372,11 @@ def _block_table(plan: PartitionPlan) -> Tuple[Block, ...]:
 # ---------------------------------------------------------------------------
 # Transcript
 
-# Message lines are written and read as blocks: a block's lines share one
-# head, '{"round":R,"user":', and one middle,
-# ',"subgroup":"...","kind":"...","value":'. Integers are spelled by str and
-# floats by repr, as json.dumps spells them.
+# Message lines are written and read as runs: consecutive message blocks of
+# one round and kind. A line is the head '{"round":R,"user":', the user, the
+# block's middle ',"subgroup":"...","kind":"...","value":', the value and
+# '}\n'. Integers are spelled as int() spells them and floats by repr, as
+# json.dumps spells them; _message_lines is the one spelling of such lines.
 _INT_KINDS = ("quad", "sign")
 _SLICE = 1 << 16  # message lines formatted at once
 _WINDOW = 1 << 22  # characters of message lines parsed at once
@@ -425,6 +436,95 @@ def _spell_floats(array: np.ndarray) -> List[str]:
     return spelled
 
 
+def _digit_groups() -> np.ndarray:
+    """4-digit groups as uint32 rows of four ASCII bytes: row v < 10^4 spells
+    v with leading NULs (a number's leading group), row 10^4 + v spells it
+    with leading zeros (a lower group), and row 2 * 10^4 is all NUL (a group
+    above the number's leading one)."""
+    v = np.arange(10_000)[:, None]
+    digits = v // [1000, 100, 10, 1] % 10 + ord("0")
+    leading = np.where(v < [1000, 100, 10, 0], 0, digits)
+    rows = np.concatenate([leading, digits, np.zeros((1, 4), int)]).astype(np.uint8)
+    return rows.view(np.uint32).ravel()
+
+
+_DIGIT_GROUPS = _digit_groups()
+_MINUS = np.frombuffer(b"\0\0\0-", np.uint32)[0]  # a minus sign, NULs before it
+_FLOAT_WIDTH = "S24"  # the longest repr of a float64: -2.2250738585072014e-308
+
+
+def _text_field(spelled: List[str], dtype: str = "S") -> np.ndarray:
+    """ASCII strings as the rows of a uint8 matrix, NUL-padded on the right
+    to the longest or to the width of `dtype`."""
+    column = np.array(spelled, dtype=dtype)
+    return column.view(np.uint8).reshape(column.size, column.itemsize)
+
+
+def _int_field(array: np.ndarray) -> np.ndarray:
+    """Numbers spelled as int() spells them, as the rows of a uint8 matrix,
+    NUL-padded on the left. Those int64 cannot hold exactly, or that are not
+    numbers, are spelled one by one."""
+    if array.dtype.kind not in "biuf" or not np.abs(array.astype(np.float64)).max() < 2.0 ** 63:
+        return _text_field(_spell_ints(array))
+    x = array.astype(np.int64, copy=False)  # truncates floats toward zero, as int() does
+    magnitude = np.abs(x)
+    negative = x < 0
+    sign = int(negative.any())
+    groups = -(-len(str(magnitude.max())) // 4)
+    field = np.empty((x.size, sign + groups), np.uint32)
+    if sign:
+        field[:, 0] = np.where(negative, _MINUS, 0)
+    for i in range(groups):
+        q = magnitude // 10 ** (4 * (groups - 1 - i))
+        rows = q % 10_000
+        rows += 10_000 * (q >= 10_000)
+        if i < groups - 1:
+            rows[q == 0] = 20_000
+        field[:, sign + i] = _DIGIT_GROUPS[rows]
+    return field.view(np.uint8)
+
+
+def _message_lines(round_no: int, kind: str, blocks: List[tuple]) -> bytes:
+    """The message lines of `blocks`, (subgroup, users, values) triples of
+    one round and kind whose arrays share their dtypes, as the transcript
+    spells them. Each line is a row of a uint8 matrix: its block's template
+    row (head, NULs for the user, middle NUL-padded to the widest, NULs for
+    the value, and "}\n") with the user's and the value's NUL-padded
+    spellings written in. Dropping the NULs leaves the lines; no line holds a
+    NUL of its own, because json.dumps escapes control characters."""
+    users = np.concatenate([block[1] for block in blocks])
+    values = np.concatenate([block[2] for block in blocks])
+    user_field = _int_field(users)
+    if kind in _INT_KINDS:
+        value_field = _int_field(values)
+    else:  # a fixed width converts faster than one numpy must find
+        value_field = _text_field(_spell_floats(values), _FLOAT_WIDTH)
+    head = '{"round":' + json.dumps(round_no) + ',"user":'
+    middles = [f',"subgroup":{json.dumps(tag)},"kind":{json.dumps(kind)},"value":' for tag, _, _ in blocks]
+    width = max(map(len, middles))
+    templates = _text_field([
+        head + "\0" * user_field.shape[1] + middle.ljust(width, "\0")
+        + "\0" * value_field.shape[1] + "}\n"
+        for middle in middles
+    ])
+    lines = np.repeat(templates, [block[1].shape[0] for block in blocks], axis=0)
+    lines[:, len(head):len(head) + user_field.shape[1]] = user_field
+    lines[:, -2 - value_field.shape[1]:-2] = value_field
+    return lines[lines != 0].tobytes()
+
+
+def _run_key(item: tuple):
+    """What message items of one run share: round, kind, and the dtypes of
+    users and values (so that joining them converts nothing); None for a
+    broadcast."""
+    if item[0] == "broadcast":
+        return None
+    return item[1], item[3], item[4].dtype, item[5].dtype
+
+
+_MISSPELLED = "a value at or below this line is not spelled as written"
+
+
 def _malformed(text: str, pos: int, why: str) -> MalformedInputError:
     return MalformedInputError(f"line {text.count(chr(10), 0, pos) + 1}: {why}")
 
@@ -432,7 +532,8 @@ def _malformed(text: str, pos: int, why: str) -> MalformedInputError:
 def _read_run(text: str, pos: int, cut: int):
     """The message lines from `pos` that share the first one's round,
     subgroup and kind, up to `cut`: ((round, subgroup, kind), users, values,
-    end), or None when the line at `pos` is not a message line as written."""
+    end), or None when the line at `pos` is not a message line as written.
+    Real values only have their characters checked here."""
     first = _MESSAGE_HEAD.match(text, pos, cut)
     if first is None:
         return None
@@ -447,27 +548,20 @@ def _read_run(text: str, pos: int, cut: int):
     end = run.end()
     # "u M v}\nH u M v}\nH ... u M v" -> "u M v M u M v ... u M v"
     body = text[pos + len(head):end - (text[end - 1] == "\n") - 1].replace("}\n" + head, middle)
-    misspelled = "a value at or below this line is not spelled as written"
     try:
         numbers = np.fromstring(body, dtype=np.int64 if integral else np.float64, sep=middle)
     except ValueError:
-        raise _malformed(text, pos, misspelled) from None
-    users, values = numbers[0::2].astype(np.int64), numbers[1::2]
-    if not integral:  # the pattern only checked the characters of the values
-        spelled = [None] * numbers.size
-        spelled[0::2], spelled[1::2] = _spell_ints(users), _spell_floats(values)
-        if middle.join(spelled) != body:
-            raise _malformed(text, pos, misspelled)
-    return (int(first[2]), subgroup, kind), users, values, end
+        raise _malformed(text, pos, _MISSPELLED) from None
+    return (int(first[2]), subgroup, kind), numbers[0::2].astype(np.int64), numbers[1::2], end
 
 
 class Transcript:
     """Ordered record of every privatized message and analyst broadcast.
 
     Messages are stored columnar per emission block and serialize as one
-    JSON line per message, in causal order, formatted a block at a time.
-    Floats serialize with shortest-roundtrip formatting, so files are
-    byte-stable.
+    JSON line per message, in causal order, formatted a run of blocks at a
+    time. Floats serialize with shortest-roundtrip formatting, so files are
+    byte-stable: ASCII with LF line ends, written in binary mode.
     """
 
     def __init__(self, protocol: str, n: int):
@@ -523,38 +617,42 @@ class Transcript:
             raise MalformedInputError(f"round index outside 1..{max_rounds}")
 
     def _pieces(self):
-        """The serialized text in pieces: one line per broadcast and for the
-        outcome, and each message block _SLICE lines at a time, formatted
-        from the block's template."""
-        for item in self._items:
-            if item[0] == "broadcast":
-                yield _json_line({"round": item[1], "broadcast": item[2]})
+        """The serialized bytes in pieces: one line per broadcast and for the
+        outcome, and the message lines of each run of consecutive message
+        blocks that share round, kind and dtypes, _SLICE lines at a time."""
+        for key, run in itertools.groupby(self._items, _run_key):
+            if key is None:
+                for item in run:
+                    yield _json_line({"round": item[1], "broadcast": item[2]}).encode()
                 continue
-            _, round_no, subgroup, kind, users, values = item
-            head = '{"round":' + json.dumps(round_no) + ',"user":'
-            middle = f',"subgroup":{json.dumps(subgroup)},"kind":{json.dumps(kind)},"value":'
-            spell = _spell_ints if kind in _INT_KINDS else _spell_floats
-            for lo in range(0, users.shape[0], _SLICE):
-                part = slice(lo, lo + _SLICE)
-                lines = [head, None, middle, None, "}\n"] * users[part].shape[0]
-                lines[1::5] = _spell_ints(users[part])
-                lines[3::5] = spell(values[part])
-                yield "".join(lines)
+            batch, lines = [], 0  # (subgroup, users, values) parts of one slice
+            for _, _, subgroup, _, users, values in run:
+                lo = 0
+                while lo < users.shape[0]:
+                    hi = min(lo + _SLICE - lines, users.shape[0])
+                    batch.append((subgroup, users[lo:hi], values[lo:hi]))
+                    lines, lo = lines + hi - lo, hi
+                    if lines == _SLICE:
+                        yield _message_lines(key[0], key[1], batch)
+                        batch, lines = [], 0
+            if batch:
+                yield _message_lines(key[0], key[1], batch)
         if self.outcome is not None:
-            yield _json_line({"outcome": self.outcome.as_dict()})
+            yield _json_line({"outcome": self.outcome.as_dict()}).encode()
 
     def dumps(self) -> str:
-        return "".join(self._pieces())
+        return b"".join(self._pieces()).decode("ascii")
 
     def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "wb") as fh:
             fh.writelines(self._pieces())
 
     @classmethod
     def loads(cls, text: str, protocol: str, n: int) -> "Transcript":
         """Parse what `dumps` writes. Message lines must be spelled exactly as
         it spells them, and are read a run of consecutive lines sharing
-        round, subgroup and kind at a time. Any other line is a broadcast or
+        round, subgroup and kind at a time; real values' spelling is checked
+        against the writer's own formatter. Any other line is a broadcast or
         an outcome: read as JSON, rebuilt with the writer's types
         (`_as_written`), and spelled as the writer spells that. An outcome,
         if any, is the last line, and every line ends in a newline. Raises
@@ -563,24 +661,48 @@ class Transcript:
             raise _malformed(text, len(text), "the last line lacks its newline")
         transcript = cls(protocol, n)
         pending: Optional[list] = None  # [round, subgroup, kind, user arrays, value arrays]
+        # runs of real values read from text position `unchecked_from` on,
+        # all of round and kind `unchecked_key`: (subgroup, users, values)
+        unchecked, unchecked_from, unchecked_key, unchecked_lines = [], 0, None, 0
 
         def flush() -> None:
             if pending is not None:
                 transcript.add_messages(*pending[:3], *map(np.concatenate, pending[3:]))
+
+        def check_spelling(upto: int) -> None:
+            """Real values must be spelled as written: the unchecked runs'
+            text must be what _message_lines writes for their users and
+            values, which it formats a run of blocks at a time."""
+            nonlocal unchecked_lines
+            if unchecked:
+                if _message_lines(*unchecked_key, unchecked) != text[unchecked_from:upto].encode():
+                    raise _malformed(text, unchecked_from, _MISSPELLED)
+                unchecked.clear()
+            unchecked_lines = 0
 
         pos = 0
         while pos < len(text):
             cut = text.find("\n", pos + _WINDOW) + 1 or len(text)
             run = _read_run(text, pos, cut)
             if run is not None:
-                key, users, values, pos = run
+                key, users, values, end = run
+                round_no, subgroup, kind = key
+                if unchecked and (unchecked_key != (round_no, kind) or unchecked_lines >= _SLICE):
+                    check_spelling(pos)
+                if kind not in _INT_KINDS:
+                    if not unchecked:
+                        unchecked_from, unchecked_key = pos, (round_no, kind)
+                    unchecked.append((subgroup, users, values))
+                    unchecked_lines += users.size
                 if pending is not None and tuple(pending[:3]) == key:
                     pending[3].append(users)
                     pending[4].append(values)
                 else:
                     flush()
                     pending = [*key, [users], [values]]
+                pos = end
                 continue
+            check_spelling(pos)
             end = text.find("\n", pos)
             line_pos, pos = pos, end + 1
             raw = text[line_pos:end]
@@ -598,13 +720,22 @@ class Transcript:
                 raise _malformed(text, line_pos, "a line follows the outcome")
             else:
                 transcript.outcome = EstimateOutcome(**item["outcome"])
+        check_spelling(pos)
         flush()
         return transcript
 
     @classmethod
     def load(cls, path, protocol: str, n: int) -> "Transcript":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.loads(fh.read(), protocol, n)
+        """Read what `dump` writes: its bytes are decoded as ASCII and line
+        ends are kept as they are, so a non-ASCII byte, or a CR or CRLF line
+        end, makes the file malformed."""
+        with open(path, "rb") as fh:
+            try:  # the bytes are not kept past the decoding
+                text = fh.read().decode("ascii")
+            except UnicodeDecodeError as exc:
+                line = exc.object.count(b"\n", 0, exc.start) + 1
+                raise MalformedInputError(f"line {line}: a byte outside ASCII") from None
+        return cls.loads(text, protocol, n)
 
 
 # ---------------------------------------------------------------------------

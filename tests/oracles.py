@@ -19,9 +19,10 @@ library privatizes users only through its vectorized kernels; these compose
 the same kernels user by user, so the tests can check the engine's block
 draws and counts report by report.
 
-The transcript writer at the bottom serializes one JSON object per line
-with json.dumps; the library formats whole message blocks from templates
-and must write the same bytes. The reference run beside it emits block by
+The transcript writers at the bottom serialize one JSON object per line
+with json.dumps, or join each message block's lines from a template of
+strings; the library fills byte matrices a run of blocks at a time and must
+write the same bytes as both. The reference run beside it emits block by
 block, one draw and one kernel call per block; the library privatizes runs
 of blocks in chunks and must record the same transcript.
 """
@@ -443,7 +444,8 @@ def kv_agg2(eps: float, k: int, reports: Iterable[SignReport]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Reference transcript writer: one json.dumps call per line.
+# Reference transcript writers: one json.dumps call per line, or a template
+# per message block.
 
 def iter_lines(transcript):
     for item in transcript._items:
@@ -468,6 +470,40 @@ def reference_dumps(transcript) -> str:
     return "".join(
         json.dumps(line, separators=(",", ":")) + "\n" for line in iter_lines(transcript)
     )
+
+
+def _spell_ints(array):
+    values = array.tolist()
+    return list(map(str, values if array.dtype.kind in "iu" else map(int, values)))
+
+
+def _spell_floats(array):
+    array = array.astype(np.float64, copy=False)
+    spelled = list(map(repr, array.tolist()))
+    for i in np.flatnonzero(~np.isfinite(array)).tolist():
+        spelled[i] = json.dumps(float(array[i]))  # NaN, Infinity, -Infinity
+    return spelled
+
+
+def template_dumps(transcript) -> str:
+    """Each message block's lines joined from the template
+    [head, user, middle, value, "}\n"], integers spelled by str (of int()
+    for other dtypes) and floats by repr."""
+    pieces = []
+    for item in transcript._items:
+        if item[0] == "broadcast":
+            pieces.append(json.dumps({"round": item[1], "broadcast": item[2]}, separators=(",", ":")) + "\n")
+            continue
+        _, round_no, subgroup, kind, users, values = item
+        head = '{"round":' + json.dumps(round_no) + ',"user":'
+        middle = f',"subgroup":{json.dumps(subgroup)},"kind":{json.dumps(kind)},"value":'
+        lines = [head, None, middle, None, "}\n"] * users.shape[0]
+        lines[1::5] = _spell_ints(users)
+        lines[3::5] = (_spell_ints if kind in ("quad", "sign") else _spell_floats)(values)
+        pieces.append("".join(lines))
+    if transcript.outcome is not None:
+        pieces.append(json.dumps({"outcome": transcript.outcome.as_dict()}, separators=(",", ":")) + "\n")
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,23 @@ def test_non_finite_value_exits_2_naming_it(tmp_path, capsys, protocol, flag, va
     assert not (tmp_path / "results.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_true_sigma_whose_samples_overflow_exits_2_naming_it(tmp_path, capsys):
+    # Box-Muller draws reach 8.65 standard deviations, and 8.66 * 1e308 is
+    # beyond the largest double; 2e307 is not
+    args = [
+        "simulate", "--protocol", "uv2", "--n", "4096", "--eps", "1", "--mu", "0",
+        "--sigma", "1e308", "--sigma-min", "2", "--sigma-max", "16", "--k1", "256",
+        "--trials", "1", "--out", str(tmp_path),
+    ]
+    assert exit_code(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: true sigma 1e+308 is too large") and "Traceback" not in err
+    assert not (tmp_path / "results.csv").exists()
+    args[args.index("--sigma") + 1] = "2e307"
+    assert exit_code(args) == 0
+
+
 # sha256 of (results.csv, summary.csv), as written before the k2 override
 # was deleted: `simulate` at n = 2^12 with 3 trials, and a two-cell kv2 sweep
 GOLDEN_CSV = [
@@ -536,6 +553,22 @@ class TestReplay:
         cut.write_bytes(transcript.read_bytes()[:-1])
         assert cli.main(self.replay_args(tmp_path, cut)) == 2
         assert "malformed input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: data.replace(b"\n", b"\r\n"),
+        lambda data: data.replace(b"\n", b"\r"),
+        lambda data: data.replace(b"level:0", b"level:\xff", 1),  # not UTF-8
+        lambda data: data.replace(b"level:0", "level:\u00e9".encode(), 1),
+    ], ids=["crlf", "cr", "invalid-utf8", "non-ascii"])
+    def test_bytes_the_writer_never_writes_exit_2(self, tmp_path, capsys, edit):
+        # the writer writes ASCII and ends lines with LF only
+        transcript = self.run_with_transcript(tmp_path)
+        copy = tmp_path / "copy.jsonl"
+        copy.write_bytes(edit(transcript.read_bytes()))
+        capsys.readouterr()
+        assert cli.main(self.replay_args(tmp_path, copy)) == 2
+        captured = capsys.readouterr()
+        assert "malformed input" in captured.err and "replay ok" not in captured.out
 
     def test_truncated_transcript_exits_2(self, tmp_path):
         transcript = self.run_with_transcript(tmp_path)

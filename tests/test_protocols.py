@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpgauss import protocols
 from ldpgauss.aggregation import MalformedInputError
@@ -24,7 +26,15 @@ from ldpgauss.protocols import (
 )
 from ldpgauss.protocols import RUNNERS
 from ldpgauss.randomizers import LatticeSpec
-from oracles import kv_rr2, reference_dumps, reference_run, rr1, sample_gaussian, stream
+from oracles import (
+    kv_rr2,
+    reference_dumps,
+    reference_run,
+    rr1,
+    sample_gaussian,
+    stream,
+    template_dumps,
+)
 
 
 def make_config(protocol, n=2 ** 14, eps=1.0, mu=10.0, sigma=1.0, seed=3, **kwargs):
@@ -690,6 +700,24 @@ class TestTranscriptAndReplay:
                 Transcript.loads(text, "kv2", 16)
         assert Transcript.loads(good * 2, "kv2", 16).message_count == 2
 
+    @pytest.mark.parametrize("where", [0, 0.5, -1])
+    def test_respelled_real_in_a_run_of_blocks_rejected(self, where, monkeypatch):
+        # the reader checks real values' spelling a run of blocks at a time;
+        # "0" after a value keeps its characters, and its value unless it
+        # has an exponent, but is not how the writer spells it
+        config = make_config("uv1", k1=2048, sigma=3.0)
+        _, transcript = run_once("uv1", config)
+        lines = transcript.dumps().splitlines(True)
+        reals = [i for i, line in enumerate(lines) if '"kind":"real"' in line]
+        i = reals[int(where * (len(reals) - 1))]
+        lines[i] = lines[i].replace("}\n", "0}\n")
+        for slice_lines, window in ((protocols._SLICE, protocols._WINDOW), (7, 1000)):
+            monkeypatch.setattr(protocols, "_SLICE", slice_lines)
+            monkeypatch.setattr(protocols, "_WINDOW", window)
+            for text in ("".join(lines), "".join(lines[:-1])):  # with and without the outcome
+                with pytest.raises(MalformedInputError, match="not spelled as written"):
+                    Transcript.loads(text, "uv1", config.n)
+
     def test_mutated_value_detected(self):
         config = make_config("kv2", k=512)
         _, transcript = run_once("kv2", config)
@@ -739,3 +767,109 @@ class TestTranscriptAndReplay:
         loaded = Transcript.load(path, "uv2", config.n)
         assert loaded.dumps() == transcript.dumps()
         assert loaded.outcome == transcript.outcome
+
+
+# Integers either side of each 4-digit group boundary the writer spells, up
+# to the 15 digits a transcript reader accepts.
+DIGIT_BOUNDARIES = [0, 1, 9, 10, 999, 1000, 9999, 10 ** 4, 99999999, 10 ** 8, 10 ** 12, 10 ** 15 - 1]
+SPECIAL_REALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, -1e300]
+
+
+@st.composite
+def hand_built_transcripts(draw):
+    """Message blocks of any round, kind and tag, integer arrays of several
+    dtypes, empty blocks, and broadcasts between them."""
+    ints = st.one_of(
+        st.sampled_from(DIGIT_BOUNDARIES + [-b for b in DIGIT_BOUNDARIES]),
+        st.integers(-(10 ** 15) + 1, 10 ** 15 - 1),
+    )
+    reals = st.one_of(st.sampled_from(SPECIAL_REALS), st.floats())
+    int_dtypes = st.sampled_from([np.int64, np.int32, np.uint64, np.float64])
+
+    def with_int_dtype(array):
+        dtype = draw(int_dtypes)  # unsigned only for magnitudes, as a reader reads them back
+        return (np.abs(array) if dtype == np.uint64 else array).astype(dtype)
+
+    transcript = Transcript("kv2", 16)
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            transcript.add_broadcast(draw(st.integers(1, 2)), {"mu_hat1": draw(st.floats(-1e9, 1e9))})
+            continue
+        kind = draw(st.sampled_from(["quad", "sign", "real"]))
+        size = draw(st.integers(0, 9))
+        users = np.array(draw(st.lists(ints, min_size=size, max_size=size)), dtype=np.int64)
+        if kind == "real":
+            values = np.array(draw(st.lists(reals, min_size=size, max_size=size)), dtype=np.float64)
+        else:
+            values = with_int_dtype(
+                np.array(draw(st.lists(ints, min_size=size, max_size=size)), dtype=np.int64))
+        tag = draw(st.sampled_from(["level:1", "refine", 'a "quoted"\\tag\t\u00e9\x00', ""]))
+        transcript.add_messages(draw(st.integers(0, 12)), tag, kind, with_int_dtype(users), values)
+    return transcript
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Equal texts; a failure names the first differing line instead of
+    diffing megabytes."""
+    if got != want:
+        for number, (a, b) in enumerate(zip(got.splitlines(True), want.splitlines(True)), 1):
+            if a != b:
+                pytest.fail(f"line {number}: {a!r} != {b!r}")
+        pytest.fail(f"{len(got)} characters != {len(want)}")
+
+
+class TestMessageLines:
+    """The array writer against the template writer it replaced."""
+
+    # the golden digests run at n = 2^12, so spell user ids of up to 4 digits
+    @pytest.mark.parametrize("protocol,n,kwargs", [
+        ("kv2", 2 ** 17, dict(k1=2 ** 13)),
+        ("kv1", 2 ** 17, dict(k1=2 ** 13)),
+        ("uv2", 2 ** 17, dict(k1=2 ** 13, sigma=3.0)),
+        ("uv1", 2 ** 17, dict(k1=1024, sigma=3.0)),
+        ("kv2", 2 ** 20, dict(k1=2 ** 16)),
+        ("uv2", 2 ** 20, dict(k1=2 ** 16, sigma=3.0)),
+    ])
+    def test_runs_match_the_template_writer(self, protocol, n, kwargs):
+        _, transcript = run_once(protocol, make_config(protocol, n=n, **kwargs))
+        if protocol == "uv1":
+            assert len(transcript._items) == 704
+        assert_same_text(transcript.dumps(), template_dumps(transcript))
+
+    def test_boundaries_dtypes_and_escapes_match_the_template_writer(self, monkeypatch):
+        transcript = Transcript("kv2", 16)
+        ints = np.array(DIGIT_BOUNDARIES + [-b for b in DIGIT_BOUNDARIES])
+        transcript.add_messages(1, "level:0", "sign", ints, -ints)
+        int32 = np.array([0, 9, 10, 9999, 10 ** 4, 99999999, 10 ** 8, 2 ** 31 - 1], np.int32)
+        transcript.add_messages(1, "level:0", "sign", int32, -int32 - 1)
+        transcript.add_messages(1, "level:0", "sign", np.array([], np.int64), np.array([], np.int64))
+        uints = np.array([0, 10 ** 4, 2 ** 63, 2 ** 64 - 1], np.uint64)
+        transcript.add_messages(1, "level:0", "sign", uints, np.array([3, 0, 1, 2], np.uint8))
+        # float-dtype integer blocks are spelled as int() spells them
+        floats = np.array([10.0, 9999.0, 1e15 - 1, 5.0, 7.0, 8.0])
+        transcript.add_messages(1, "level:1", "quad", floats, np.array([2.0, -3.0, 2.5, -0.5, -2.5, 1e300]))
+        transcript.add_messages(1, 'tab\t "quote" back\\slash \u00e9 \x00 \u2028', "quad", ints[:3], ints[:3])
+        transcript.add_broadcast(2, {"interval_lo": -1.5, "interval_hi": 2.5})
+        reals = np.array(SPECIAL_REALS)
+        transcript.add_messages(2, "refine", "real", np.arange(reals.size) * 99999999, reals)
+        transcript.add_messages(2, "refine", "real", np.array([], np.int64), np.array([]))
+        transcript.outcome = EstimateOutcome("uv2", 0.5, None, -math.inf)
+        text = transcript.dumps()
+        assert text == template_dumps(transcript) == reference_dumps(transcript)
+        for lines in (1, 3, 7):  # slices that cut through blocks and runs
+            monkeypatch.setattr(protocols, "_SLICE", lines)
+            assert transcript.dumps() == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(transcript=hand_built_transcripts(), lines=st.integers(1, 8), window=st.integers(1, 400))
+    def test_hand_built_transcripts_match_the_template_writer_and_read_back(
+        self, transcript, lines, window
+    ):
+        text = template_dumps(transcript)
+        assert transcript.dumps() == text
+        assert Transcript.loads(text, "kv2", 16).dumps() == text
+        with pytest.MonkeyPatch.context() as patch:  # slices and windows that cut through runs
+            patch.setattr(protocols, "_SLICE", lines)
+            patch.setattr(protocols, "_WINDOW", window)
+            assert transcript.dumps() == text
+            assert Transcript.loads(text, "kv2", 16).dumps() == text
