@@ -20,14 +20,15 @@ class MalformedInputError(ValueError):
 
 
 def _debias(eps: float, k: int, counts: Sequence[float], outputs: int) -> np.ndarray:
-    """H_hat(a) = (e^eps+d-1)/(e^eps-1) * (C(a) - k/(e^eps+d-1)), d = outputs.
+    """H_hat(a) = (e^eps+d-1)/(e^eps-1) * (C(a) - k/(e^eps+d-1)), d = outputs,
+    over the trailing axis: one histogram, or one per row of a matrix.
 
     Written with w = e^-eps to stay finite as eps grows large (the factors
     reduce to 1 and 0 in the no-randomization limit)."""
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     counts = np.asarray(counts, dtype=np.float64)
-    if counts.shape != (outputs,):
+    if counts.shape[-1:] != (outputs,):
         raise MalformedInputError(f"expected {outputs} counts, got shape {counts.shape}")
     w = math.exp(-eps)
     spread = (outputs - 1) * w
@@ -35,7 +36,7 @@ def _debias(eps: float, k: int, counts: Sequence[float], outputs: int) -> np.nda
 
 
 def debias_quad_counts(eps: float, k: int, counts: Sequence[float]) -> np.ndarray:
-    """Debiased counts over {0,1,2,3}; they sum to k."""
+    """Debiased counts over {0,1,2,3}; they sum to k (per row of a matrix)."""
     return _debias(eps, k, counts, 4)
 
 
@@ -45,13 +46,22 @@ def debias_sign_counts(eps: float, k: int, counts: Sequence[float]) -> np.ndarra
 
 
 def pair_adjacent_bins(quad_bins: np.ndarray) -> np.ndarray:
-    """bins[a] + bins[(a+1) mod 4] for each a."""
+    """bins[a] + bins[(a+1) mod 4] for each a, over the trailing axis."""
     b = np.asarray(quad_bins, dtype=np.float64)
-    return b + np.roll(b, -1)
+    return b + np.roll(b, -1, axis=-1)
 
 
 def quad_counts_from_values(values: np.ndarray) -> np.ndarray:
-    return np.bincount(np.asarray(values, dtype=np.int64), minlength=4).astype(np.float64)
+    """Counts over {0,1,2,3} of a vector of values; of a matrix of values,
+    one row of counts per row."""
+    v = np.asarray(values, dtype=np.int64)
+    if v.size and not 0 <= v.min() <= v.max() <= 3:
+        raise MalformedInputError("quad values must lie in {0,1,2,3}")
+    if v.ndim == 1:
+        return np.bincount(v, minlength=4).astype(np.float64)
+    rows = v.shape[0]
+    cells = v + 4 * np.arange(rows)[:, None]
+    return np.bincount(cells.ravel(), minlength=4 * rows).reshape(rows, 4).astype(np.float64)
 
 
 def sign_counts_from_values(values: np.ndarray) -> np.ndarray:

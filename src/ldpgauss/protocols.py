@@ -14,13 +14,17 @@ once, as the plan's block table of every transcript item in emission order.
 The first half of the user indices is split into per-level blocks (ascending
 level order); the second half either answers the round-two broadcast
 wholesale or is split into one-round subgroup blocks. Leftover users are
-never queried. Runners emit by walking the table as runs: consecutive
-blocks of one kind whose user ranges touch (the level blocks, the
-refinement subgroups, the round-two block). A run is privatized in chunks
-of up to 2^14 users, each with one draw of uniforms and one kernel call fed
-per-user parameters, and each block enters the transcript as a slice of the
-run's arrays. The analyst's gate requires a transcript to equal the table
-block for block.
+never queried. The plan also holds each round's layout: the round's runs,
+consecutive blocks of one kind and size whose user ranges touch (the level
+blocks, the refinement subgroups, the round-two block), each with one array
+per block parameter, and the item heads and shapes the table expects. All
+of it is per block, none of it per user. A run is privatized in chunks of up
+to 2^14 users, each with one draw of uniforms and one kernel call whose
+per-user parameters are gathered from the run's columns, and enters the
+transcript in one call, still stored a block at a time. The analyst's gate
+requires a transcript to equal the table block for block, checking a round
+with a few list comparisons and whole-run array operations, and the level
+histograms are counted, debiased and paired as one (levels, 4) matrix.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
@@ -192,6 +197,40 @@ class Block(NamedTuple):
     params: tuple = ()
 
 
+class Run(NamedTuple):
+    """Consecutive blocks of one round and kind, `count` users each, whose
+    user ranges touch: block i holds users start + i count onwards and has
+    tag tags[i] and position first + i in the block table. `params` holds
+    one array per randomizer parameter and `reach` the bound on real
+    reports, each with one entry per block. A broadcast is a run of its own."""
+
+    kind: str
+    first: int
+    start: int
+    count: int
+    tags: tuple
+    params: tuple
+    reach: np.ndarray
+
+    @property
+    def stop(self) -> int:
+        return self.start + self.count * len(self.tags)
+
+
+class RoundLayout(NamedTuple):
+    """One round of a plan: its runs in table order, and what the gate
+    expects of a transcript's items through the round. An item's head is
+    ("messages", round, tag, kind) or ("broadcast", round); `messages` tells
+    for each item whether it holds messages, `broadcasts` are the positions
+    of the others, and `shapes` the users' shape of each message item."""
+
+    runs: Tuple[Run, ...]
+    heads: list
+    messages: list
+    broadcasts: tuple
+    shapes: list
+
+
 @dataclass(frozen=True)
 class PartitionPlan:
     """Deterministic assignment of user indices to protocol roles."""
@@ -210,6 +249,8 @@ class PartitionPlan:
     group_keys: tuple = ()
     # every transcript item a run emits, in order; built by plan_partition
     blocks: Tuple[Block, ...] = ()
+    # one RoundLayout per round, from the blocks; built by plan_partition
+    layouts: Tuple[RoundLayout, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def levels(self) -> range:
@@ -273,14 +314,20 @@ def _sigma_bounds(config: ProtocolConfig) -> Tuple[float, float]:
     return config.variance_mode.sigma_min, config.variance_mode.sigma_max
 
 
-@functools.lru_cache(maxsize=1)
 def plan_partition(config: ProtocolConfig, protocol: str) -> PartitionPlan:
     """Lay out users, levels, and one-round subgroups for a protocol run.
 
     Depends only on public configuration, so the replay path can rebuild the
-    exact plan without the simulation truth. The last plan is kept: a cell's
-    trials and runners share one frozen plan instead of rebuilding it.
+    exact plan without the simulation truth. The last plan is kept, keyed on
+    the public configuration alone: a cell's trials and runners, and cells
+    that differ only in their truth or master seed, share one frozen plan
+    instead of rebuilding it.
     """
+    return _public_plan(replace(config, truth=None, master_seed=0), protocol)
+
+
+@functools.lru_cache(maxsize=1)
+def _public_plan(config: ProtocolConfig, protocol: str) -> PartitionPlan:
     if protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol!r}")
     n, eps, beta = config.n, config.eps, config.beta
@@ -341,7 +388,13 @@ def plan_partition(config: ProtocolConfig, protocol: str) -> PartitionPlan:
         protocol=protocol, n=n, eps=eps, beta=beta, k1=k1, level_plan=level_plan,
         u2_start=half, k2=k2, rho=rho, sigma=sigma, group_keys=group_keys,
     )
-    return replace(plan, blocks=_block_table(plan))
+    blocks = _block_table(plan)
+    layouts = tuple(_round_layout(blocks, round_no) for round_no in range(1, plan.rounds + 1))
+    return replace(plan, blocks=blocks, layouts=layouts)
+
+
+# the cache is cleared through the name callers plan with
+plan_partition.cache_clear = _public_plan.cache_clear
 
 
 def _block_table(plan: PartitionPlan) -> Tuple[Block, ...]:
@@ -367,6 +420,41 @@ def _block_table(plan: PartitionPlan) -> Tuple[Block, ...]:
         start = plan.u2_start + i * plan.k2
         blocks.append(Block(1, plan.subgroup_tag(key), kind, start, plan.k2, reach, key, params))
     return tuple(blocks)
+
+
+def _round_layout(blocks: Tuple[Block, ...], round_no: int) -> RoundLayout:
+    """Round `round_no` of a block table as runs, with the heads and shapes
+    of the table's items through the round."""
+    groups: List[Tuple[int, List[Block]]] = []  # (first position, blocks) of each run
+    for position, block in enumerate(blocks):
+        if block.round != round_no:
+            continue
+        last = groups[-1][1][-1] if groups else None
+        if last is not None and (
+            block.kind == last.kind != "broadcast"
+            and block.count == last.count
+            and block.start == last.start + last.count
+        ):
+            groups[-1][1].append(block)
+        else:
+            groups.append((position, [block]))
+    runs = tuple(
+        Run(run[0].kind, first, run[0].start, run[0].count, tuple(b.tag for b in run),
+            tuple(map(np.array, zip(*(b.params for b in run)))), np.array([b.reach for b in run]))
+        for first, run in groups
+    )
+    through = [block for block in blocks if block.round <= round_no]
+    return RoundLayout(
+        runs=runs,
+        heads=[
+            ("broadcast", block.round) if block.kind == "broadcast"
+            else ("messages", block.round, block.tag, block.kind)
+            for block in through
+        ],
+        messages=[block.kind != "broadcast" for block in through],
+        broadcasts=tuple(i for i, block in enumerate(through) if block.kind == "broadcast"),
+        shapes=[(block.count,) for block in through if block.kind != "broadcast"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +665,20 @@ class Transcript:
             raise ValueError("users and values must align")
         self._items.append(("messages", round_no, subgroup, kind, users, values))
 
+    def add_blocks(self, round_no: int, subgroups: tuple, kind: str, users, values) -> None:
+        """Consecutive message blocks of equal size, one per subgroup: the
+        users and values split evenly among them, in order. Each block is
+        stored as add_messages stores it."""
+        users = np.asarray(users)
+        values = np.asarray(values)
+        if users.ndim != 1 or users.shape != values.shape or users.size % len(subgroups):
+            raise ValueError("users and values must align and split evenly")
+        rows = (len(subgroups), -1)
+        self._items.extend(zip(
+            itertools.repeat("messages"), itertools.repeat(round_no), subgroups,
+            itertools.repeat(kind), users.reshape(rows), values.reshape(rows),
+        ))
+
     def add_broadcast(self, round_no: int, payload: dict) -> None:
         self._items.append(("broadcast", round_no, dict(payload)))
 
@@ -744,24 +846,56 @@ class Transcript:
 # replay calls it on a recorded one.
 
 _DTYPE_KINDS = {"quad": "i", "sign": "i", "real": "f"}
+_HEAD = operator.itemgetter(slice(4))
+_USERS = operator.itemgetter(4)
+_VALUES = operator.itemgetter(5)
+_SHAPE = operator.attrgetter("shape")
+_DTYPE = operator.attrgetter("dtype")
 
 
-def _reportable(kind: str, blocks: List[np.ndarray], reach: List[float]) -> bool:
-    """Whether a randomizer of this kind can report every value of the
-    (nonempty) blocks; `reach` bounds each block's real values in magnitude."""
-    if any(block.dtype.kind != _DTYPE_KINDS[kind] for block in blocks):
-        return False
+def _reported(run: Run, blocks: List[np.ndarray]) -> Optional[np.ndarray]:
+    """The run's values joined in block order, or None unless a randomizer
+    of the run's kind can report every one of them; the run's `reach` bounds
+    each block's real values in magnitude."""
+    if any(dtype.kind != _DTYPE_KINDS[run.kind] for dtype in set(map(_DTYPE, blocks))):
+        return None
     values = np.concatenate(blocks)
-    if kind == "real":
-        starts = np.cumsum([0] + [block.size for block in blocks[:-1]])
-        return bool(np.all(np.maximum.reduceat(np.abs(values), starts) < reach))
-    if kind == "quad":
-        return values.min() >= 0 and values.max() <= 3
-    return values.min() >= -1 and values.max() <= 1 and np.count_nonzero(values) == values.size
+    if run.kind == "real":
+        peaks = np.abs(values).reshape(len(blocks), run.count).max(axis=1)
+        ok = np.all(peaks < run.reach)
+    elif run.kind == "quad":
+        ok = values.min() >= 0 and values.max() <= 3
+    else:
+        ok = values.min() >= -1 and values.max() <= 1 and np.count_nonzero(values) == values.size
+    return values if ok else None
+
+
+def _not_planned(plan: PartitionPlan, index: int) -> MalformedInputError:
+    return MalformedInputError(f"transcript block {index} is not the planned {plan.blocks[index]}")
+
+
+def _first_unplanned(plan: PartitionPlan, items: List[tuple]) -> MalformedInputError:
+    """The error naming the first of `items` that is not its planned block:
+    a broadcast of the planned round, or messages of the planned round, tag
+    and kind with user indices an integer array of the planned length."""
+    for index, (block, item) in enumerate(zip(plan.blocks, items)):
+        if block.kind == "broadcast":
+            match = item[:2] == ("broadcast", block.round)
+        else:
+            match = (
+                item[:4] == ("messages", block.round, block.tag, block.kind)
+                and item[4].dtype.kind == "i"
+                and item[4].shape == (block.count,)
+            )
+        if not match:
+            return _not_planned(plan, index)
+    raise AssertionError("every item is its planned block")
 
 
 def _gate(plan: PartitionPlan, transcript: Transcript, round_no: int) -> Dict[str, np.ndarray]:
-    """One round's reports, checked against the plan: tag -> values.
+    """One round's reports, checked against the plan: kind -> the values of
+    the round's blocks of that kind, joined in table order (a round holds
+    one run of each kind it reports).
 
     Raises MalformedInputError unless the transcript's items through this
     round equal the plan's block table, block for block, and at the last
@@ -773,45 +907,38 @@ def _gate(plan: PartitionPlan, transcript: Transcript, round_no: int) -> Dict[st
     lie in [0, n), so no user reports twice, outside their own subgroup, or
     at all if discarded. Every value of this round must also be one its
     randomizer can report: quad values in {0,1,2,3}, sign values in {-1,+1},
-    real values finite (and within the randomizer's reach in uv1).
+    real values finite (and within the randomizer's reach in uv1). Errors
+    name the first block at fault, as a scan block by block would.
     """
-    planned = [block for block in plan.blocks if block.round <= round_no]
+    layout = plan.layouts[round_no - 1]
     items = transcript._items
-    if len(items) < len(planned) or (round_no == plan.rounds and len(items) > len(planned)):
+    planned = len(layout.heads)
+    if len(items) < planned or (round_no == plan.rounds and len(items) > planned):
         raise MalformedInputError(
-            f"transcript holds {len(items)} blocks, expected {len(planned)} through round {round_no}"
+            f"transcript holds {len(items)} blocks, expected {planned} through round {round_no}"
         )
-    reports, by_kind, this_round = {}, {}, []
-    for index, (block, item) in enumerate(zip(planned, items)):
-        if block.kind == "broadcast":
-            match = item[:2] == ("broadcast", block.round)
-        else:
-            match = (
-                item[:4] == ("messages", block.round, block.tag, block.kind)
-                and item[4].dtype.kind == "i"
-                and item[4].shape == (block.count,)
-            )
-        if not match:
-            raise MalformedInputError(f"transcript block {index} is not the planned {block}")
-        if block.round == round_no and block.kind != "broadcast":
-            reports[block.tag] = item[5]
-            by_kind.setdefault(block.kind, []).append(block)
-            this_round.append(index)
-    # All of this round's users at once: within each block, user minus
-    # position must equal the block's start minus its offset.
-    offsets = np.cumsum([0] + [planned[i].count for i in this_round[:-1]])
-    shifts = np.array([planned[i].start for i in this_round]) - offsets
-    users = np.concatenate([items[i][4] for i in this_round]).astype(np.int64, copy=False)
-    users -= np.arange(users.size)
-    wrong = (np.minimum.reduceat(users, offsets) != shifts) | (
-        np.maximum.reduceat(users, offsets) != shifts
-    )
-    if wrong.any():
-        index = this_round[int(np.argmax(wrong))]
-        raise MalformedInputError(f"transcript block {index} is not the planned {planned[index]}")
-    for kind, blocks in by_kind.items():
-        if not _reportable(kind, [reports[b.tag] for b in blocks], [b.reach for b in blocks]):
-            raise MalformedInputError(f"round {round_no} holds a {kind} value no randomizer reports")
+    items = items[:planned]
+    heads = list(map(_HEAD, items))
+    for i in layout.broadcasts:
+        heads[i] = heads[i][:2]
+    if heads != layout.heads:
+        raise _first_unplanned(plan, items)
+    users = list(map(_USERS, itertools.compress(items, layout.messages)))
+    if list(map(_SHAPE, users)) != layout.shapes or any(
+        dtype.kind != "i" for dtype in set(map(_DTYPE, users))
+    ):
+        raise _first_unplanned(plan, items)
+    runs = [(run, items[run.first:run.first + len(run.tags)])
+            for run in layout.runs if run.kind != "broadcast"]
+    for run, blocks in runs:
+        wrong = np.concatenate(list(map(_USERS, blocks))) != np.arange(run.start, run.stop)
+        if wrong.any():
+            raise _not_planned(plan, run.first + int(np.argmax(wrong)) // run.count)
+    reports = {}
+    for run, blocks in runs:
+        reports[run.kind] = _reported(run, list(map(_VALUES, blocks)))
+        if reports[run.kind] is None:
+            raise MalformedInputError(f"round {round_no} holds a {run.kind} value no randomizer reports")
     return reports
 
 
@@ -823,18 +950,17 @@ def _analyze(
 
     In a live two-round run, `respond` records the broadcast and lets the
     round-two users answer it before round two is read; in replay, the
-    recorded broadcast must equal the one computed here.
+    recorded broadcast must equal the one computed here. The level
+    histograms are one (levels, 4) matrix; the analyst reads its rows.
     """
     reports = _gate(plan, transcript, 1)
-    bins = {
-        j: debias_quad_counts(plan.eps, plan.k1, quad_counts_from_values(reports[f"level:{j}"]))
-        for j in plan.levels
-    }
+    levels = reports["quad"].reshape(len(plan.levels), plan.k1)
+    bins = debias_quad_counts(plan.eps, plan.k1, quad_counts_from_values(levels))
     sigma_hat = None
     if plan.protocol in ("uv2", "uv1"):
-        paired = {j: pair_adjacent_bins(b) for j, b in bins.items()}
+        paired = dict(zip(plan.levels, pair_adjacent_bins(bins)))
         sigma_hat = est_var(plan.beta, plan.eps, paired, plan.k1, plan.level_plan)
-    mu1 = est_mean(plan.beta, plan.eps, bins, plan.k1, plan.level_plan)
+    mu1 = est_mean(plan.beta, plan.eps, dict(zip(plan.levels, bins)), plan.k1, plan.level_plan)
 
     if plan.rounds == 2:
         if plan.protocol == "kv2":
@@ -856,19 +982,21 @@ def _analyze(
 
     summary = plan.summary()
     if plan.protocol == "kv2":
-        signs = reports["refine"]
+        signs = reports["sign"]
         hist = debias_sign_counts(plan.eps, signs.size, sign_counts_from_values(signs))
         mu2 = refine_known_sigma(hist, signs.size, mu1, plan.sigma)
     elif plan.protocol == "kv1":
-        refinements = [block for block in plan.blocks if block.kind == "sign"]
-        tallies = {b.key: sign_counts_from_values(reports[b.tag]) for b in refinements}
-        lattices = {b.key: LatticeSpec(*b.params) for b in refinements}
+        signs = reports["sign"].reshape(len(plan.group_keys), plan.k2)
+        tallies = {key: sign_counts_from_values(row) for key, row in zip(plan.group_keys, signs)}
+        lattices = {b.key: LatticeSpec(*b.params) for b in plan.blocks if b.kind == "sign"}
         mu2 = refine_pooled_kv(tallies, lattices, mu1, plan.sigma, plan.eps)
     elif plan.protocol == "uv2":
-        mu2 = (2.0 / plan.n) * float(np.sum(reports["refine"]))
+        mu2 = (2.0 / plan.n) * float(np.sum(reports["real"]))
     else:
         j1, m2, s_star = select_subgroup_uv(sigma_hat, mu1, plan.level_plan, plan.rho)
-        mu2 = s_star + float(np.sum(reports[plan.subgroup_tag((j1, m2))])) / plan.k2
+        residuals = reports["real"].reshape(len(plan.group_keys), plan.k2)
+        selected = residuals[plan.group_keys.index((j1, m2))]
+        mu2 = s_star + float(np.sum(selected)) / plan.k2
         summary["selected"] = {"level": j1, "subgroup": m2, "center": s_star}
     return EstimateOutcome(plan.protocol, mu1, sigma_hat, mu2, summary)
 
@@ -878,22 +1006,6 @@ def _analyze(
 # Only the user side reads samples, through the randomizer kernels.
 
 _CHUNK = BLOCK  # users privatized with one streams.matrix and one kernel call
-
-
-def _runs(blocks):
-    """Consecutive message blocks that share a kind and whose user ranges
-    touch, as lists; a broadcast is a run of its own."""
-    run: List[Block] = []
-    for block in blocks:
-        if run and not (
-            block.kind == run[-1].kind != "broadcast"
-            and block.start == run[-1].start + run[-1].count
-        ):
-            yield run
-            run = []
-        run.append(block)
-    if run:
-        yield run
 
 
 def privatize(eps: float, sigma, kind: str, x, draws, params, broadcast):
@@ -925,30 +1037,25 @@ def _run(protocol: str, config: ProtocolConfig, samples, streams: TrialStreams):
     transcript = Transcript(protocol, config.n)
 
     def emit(round_no: int, broadcast: Optional[dict] = None) -> None:
-        """One round, in table order: the broadcast that opens it, then each
-        run of message blocks' users privatize their samples, _CHUNK users
-        per draw and kernel call, and each block is added as a slice."""
-        for run in _runs([block for block in plan.blocks if block.round == round_no]):
-            kind, start = run[0].kind, run[0].start
-            if kind == "broadcast":
+        """One round, a run at a time: the broadcast that opens it, then each
+        run's users privatize their samples, _CHUNK users per draw and
+        kernel call, each user with the parameters of their block, and the
+        run's blocks enter the transcript in one call."""
+        for run in plan.layouts[round_no - 1].runs:
+            if run.kind == "broadcast":
                 transcript.add_broadcast(round_no, broadcast)
                 continue
-            stop = run[-1].start + run[-1].count
-            counts = [block.count for block in run]
-            params = [
-                np.repeat(column, counts)
-                for column in zip(*(block.params for block in run))
-            ]
-            users, x = np.arange(start, stop), samples[start:stop]
-            values = np.empty(stop - start, np.float64 if kind == "real" else np.int64)
-            for lo in range(0, stop - start, _CHUNK):
+            users, x = np.arange(run.start, run.stop), samples[run.start:run.stop]
+            values = np.empty(users.size, np.float64 if run.kind == "real" else np.int64)
+            for lo in range(0, users.size, _CHUNK):
                 part = slice(lo, lo + _CHUNK)
-                draws = streams.matrix(users[part], first=2, count=2 if kind == "quad" else 1)
-                chunk = [p[part] for p in params]
-                values[part] = privatize(plan.eps, plan.sigma, kind, x[part], draws, chunk, broadcast)
-            for block in run:
-                part = slice(block.start - start, block.start - start + block.count)
-                transcript.add_messages(round_no, block.tag, kind, users[part], values[part])
+                draws = streams.matrix(users[part], first=2, count=2 if run.kind == "quad" else 1)
+                params = []
+                if run.params:  # gathered from the columns by block
+                    block = np.arange(lo, lo + draws.shape[0]) // run.count
+                    params = [column[block] for column in run.params]
+                values[part] = privatize(plan.eps, plan.sigma, run.kind, x[part], draws, params, broadcast)
+            transcript.add_blocks(round_no, run.tags, run.kind, users, values)
 
     emit(1)
     outcome = _analyze(plan, transcript, lambda broadcast: emit(2, broadcast))

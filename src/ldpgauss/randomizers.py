@@ -72,7 +72,8 @@ def rr1_values(eps, xs, level_j, u_keep, u_alt):
     """Four-way randomized response on floor(x / 2^level_j) mod 4."""
     p = quad_keep_prob(eps)
     truth = floor_div_mod4_array(xs, level_j)
-    alt = (truth + 1 + (np.asarray(u_alt) * 3.0).astype(np.int64)) % 4
+    # truth + 1 + a lies in [1, 6], so its low two bits are its value mod 4
+    alt = (truth + 1 + (np.asarray(u_alt) * 3.0).astype(np.int64)) & 3
     return np.where(np.asarray(u_keep) <= p, truth, alt)
 
 

@@ -74,6 +74,49 @@ class TestAgg1:
         np.testing.assert_allclose(paired, pair_adjacent_bins(quad), atol=1e-12)
 
 
+class TestLevelMatrix:
+    """Every level's histogram at once, as rows of one matrix, against one
+    level at a time."""
+
+    def test_rows_equal_per_level_dicts_bitwise(self):
+        rng = np.random.default_rng(20)
+        for eps, levels, k in ((1.0, 64, 1024), (0.3, 5, 17), (7.5, 1, 3)):
+            values = rng.integers(0, 4, (levels, k))
+            per_level = {j: debias_quad_counts(eps, k, quad_counts_from_values(row))
+                         for j, row in enumerate(values)}
+            paired = {j: pair_adjacent_bins(bins) for j, bins in per_level.items()}
+            counts = quad_counts_from_values(values)
+            assert counts.shape == (levels, 4)
+            bins = debias_quad_counts(eps, k, counts)
+            assert bins.tobytes() == np.array(list(per_level.values())).tobytes()
+            assert pair_adjacent_bins(bins).tobytes() == np.array(list(paired.values())).tobytes()
+
+    def test_random_tallies_match_bitwise(self):
+        rng = np.random.default_rng(21)
+        tallies = rng.integers(0, 10 ** 6, (200, 4)).astype(np.float64)
+        for eps in (0.01, 1.0, 50.0):
+            bins = debias_quad_counts(eps, 1000, tallies)
+            rows = [debias_quad_counts(eps, 1000, row) for row in tallies]
+            assert bins.tobytes() == np.array(rows).tobytes()
+            assert pair_adjacent_bins(bins).tobytes() == np.array(
+                [pair_adjacent_bins(row) for row in rows]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(5,), (64, 5), (64, 3), (4, 1), ()])
+    def test_wrong_trailing_shape_rejected(self, shape):
+        with pytest.raises(MalformedInputError):
+            debias_quad_counts(1.0, 10, np.zeros(shape))
+
+    @pytest.mark.parametrize("value", [-1, 4])
+    def test_values_outside_the_alphabet_rejected(self, value):
+        # in a matrix a 4 would otherwise count as the next row's 0
+        values = np.zeros((3, 8), np.int64)
+        values[1, 2] = value
+        with pytest.raises(MalformedInputError):
+            quad_counts_from_values(values)
+        with pytest.raises(MalformedInputError):
+            quad_counts_from_values(values[1])
+
+
 class TestKVAgg2:
     def test_skewed_counts_example(self):
         # eps = ln 3: scale 2, offset k/(e+1) = 1; C = (4 pluses, 0 minuses).

@@ -292,6 +292,31 @@ class TestFloorDivMod4:
         assert [int(got[i]) for i in exact] == [
             floor_mod4_oracle(float(xs[i]), int(levels[i])) for i in exact]
 
+    def test_level_table_matches_powers_bitwise(self):
+        # 2^j from a table of the levels spanned, as against 2.0 ** j per x,
+        # for negative and positive levels, huge |x|, and scalar and array j
+        def by_powers(xs, j):
+            q = np.floor(np.asarray(xs, dtype=np.float64) / (2.0 ** j))
+            q -= 4.0 * np.floor(q * 0.25)
+            return q.astype(np.int64)
+
+        rng = np.random.default_rng(12)
+        xs = rng.normal(0.0, 1.0, 1 << 14) * 2.0 ** rng.integers(-60, 1000, 1 << 14)
+        xs[:4] = [np.finfo(float).max, -np.finfo(float).max, 1e300, -1e300]
+        for js in (rng.integers(-40, 41, xs.size), rng.integers(-1074, -1000, xs.size),
+                   rng.integers(900, 961, xs.size), np.full(xs.size, -3), np.full(xs.size, 7)):
+            with np.errstate(over="ignore"):
+                finite = np.isfinite(xs / 2.0 ** js)
+            x, j = xs[finite], js[finite]
+            assert x.size > 500
+            assert floor_div_mod4_array(x, j).tobytes() == by_powers(x, j).tobytes()
+            for level in (int(j[0]), j[0]):  # a Python int and a numpy scalar
+                with np.errstate(over="ignore"):
+                    finite = np.isfinite(x / 2.0 ** level)
+                got = floor_div_mod4_array(x[finite], level)
+                assert got.tobytes() == by_powers(x[finite], level).tobytes()
+        assert floor_div_mod4_array(np.array([]), np.array([], np.int64)).size == 0
+
     def test_per_user_levels_match_scalar_levels_bitwise(self):
         # one level per x, over every j whose 2^j is a finite double
         js = np.arange(-1074, 1024)

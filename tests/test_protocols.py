@@ -185,7 +185,39 @@ class TestPlanPartition:
         outcome, shared = run_once(protocol, as_float)
         assert type(plan_partition(as_float, protocol).eps) is int  # the int plan was reused
         assert repr(outcome.as_dict()) == repr(fresh_outcome.as_dict())
-        assert shared.dumps() == fresh.dumps()
+        assert_same_text(shared.dumps(), fresh.dumps())
+
+    def test_plan_is_keyed_on_public_configuration(self, monkeypatch):
+        # a plan depends on public configuration only, so configs that differ
+        # in their truth or master seed share one plan; others do not
+        built = []
+        block_table = protocols._block_table
+        monkeypatch.setattr(protocols, "_block_table",
+                            lambda plan: built.append(plan) or block_table(plan))
+        plan_partition.cache_clear()
+        base = make_config("uv1", n=2 ** 14, k1=256, sigma=3.0)
+        plan = plan_partition(base, "uv1")
+        for other in (
+            dataclasses.replace(base, master_seed=99),
+            dataclasses.replace(base, truth=SimulationTruth(mu=-4.0, sigma=2.5)),
+            dataclasses.replace(base, truth=None),
+        ):
+            assert plan_partition(other, "uv1") is plan
+        run_once("uv1", dataclasses.replace(base, master_seed=5))
+        assert len(built) == 1
+        assert plan_partition(dataclasses.replace(base, n=2 ** 15), "uv1") is not plan
+        assert len(built) == 2
+
+    def test_layouts_hold_per_block_arrays_only(self):
+        # no array in a round's layout grows with the number of users
+        plan = plan_partition(make_config("uv1", n=2 ** 17, k1=1024, sigma=3.0), "uv1")
+        assert [len(layout.heads) for layout in plan.layouts] == [704]
+        runs = plan.layouts[0].runs
+        assert [(run.kind, len(run.tags), run.count) for run in runs] == [
+            ("quad", 64, 1024), ("real", 640, 102)]
+        for run in runs:
+            for array in (*run.params, run.reach):
+                assert array.shape == (len(run.tags),)
 
     def test_plan_is_deterministic(self):
         a = plan_partition(make_config("uv1", sigma=3.0), "uv1")
@@ -246,7 +278,7 @@ class TestKVTwoRound:
         config = make_config("kv2", k=512, seed=11)
         _, t1 = run_once("kv2", config)
         _, t2 = run_once("kv2", config)
-        assert t1.dumps() == t2.dumps()
+        assert_same_text(t1.dumps(), t2.dumps())
 
     def test_two_rounds_and_broadcast_minimality(self):
         config = make_config("kv2", k=512)
@@ -431,7 +463,7 @@ class TestEmissionByRuns:
         for chunk in (protocols._CHUNK, 7):  # 7: chunks end partial inside blocks
             monkeypatch.setattr(protocols, "_CHUNK", chunk)
             _, got = RUNNERS[protocol](config, samples, streams)
-            assert got.dumps() == want.dumps()
+            assert_same_text(got.dumps(), want.dumps())
             assert_same_items(got, want)
 
     # sha256 of dumps() at n = 2^12, as written by per-block emission
@@ -448,6 +480,74 @@ class TestEmissionByRuns:
     def test_golden_transcript_digest(self, protocol, seed, digest):
         _, transcript = run_once(protocol, make_config(protocol, n=2 ** 12, seed=seed))
         assert hashlib.sha256(transcript.dumps().encode()).hexdigest() == digest
+
+
+# What the gate names for a uv1 transcript at n = 2^17, k1 = 1024 whose
+# refinement block 384 (of 704) was changed, and for changed values.
+PLANNED_384 = (
+    "transcript block 384 is not the planned Block(round=1, tag='lattice:33:1', kind='real', "
+    "start=98176, count=102, reach=6957847019520.0, key=(33, 1), "
+    "params=(8589934592.0, 85899345920.0, 171798691840.0))"
+)
+
+
+class TestRoundGate:
+    """The gate and the level histograms a round at a time, on uv1's 704
+    blocks: the errors name the same block, with the same words, as a scan
+    block by block."""
+
+    @pytest.fixture(scope="class")
+    def uv1(self):
+        config = make_config("uv1", n=2 ** 17, k1=1024, sigma=3.0)
+        _, transcript = run_once("uv1", config)
+        return config, transcript
+
+    def edited(self, uv1, index, edit):
+        config, transcript = uv1
+        copy = Transcript("uv1", config.n)
+        copy._items = list(transcript._items)
+        copy._items[index] = edit(copy._items[index])
+        copy.outcome = transcript.outcome
+        return copy
+
+    @staticmethod
+    def at(values, position, value):
+        values = values.copy()
+        values[position] = value
+        return values
+
+    def test_unchanged_transcript_replays(self, uv1):
+        config, transcript = uv1
+        assert replay_analyst("uv1", config, transcript) == transcript.outcome
+
+    @pytest.mark.parametrize("index,edit,message", [
+        (384, lambda item: item[:2] + ("lattice:0:0",) + item[3:], PLANNED_384),
+        (384, lambda item: item[:4] + (item[4][:-1], item[5][:-1]), PLANNED_384),
+        (384, lambda item: item[:4] + (item[4].astype(np.float64), item[5]), PLANNED_384),
+        (384, lambda item: item[:4] + (item[4] + 1, item[5]), PLANNED_384),
+        (384, lambda item: item[:5] + (TestRoundGate.at(item[5], 5, 6957847019520.0),),
+         "round 1 holds a real value no randomizer reports"),
+        (30, lambda item: item[:5] + (TestRoundGate.at(item[5], 5, 4),),
+         "round 1 holds a quad value no randomizer reports"),
+    ], ids=["wrong tag", "one user short", "float users", "users shifted by one",
+            "real value at the reach", "quad value 4"])
+    def test_edited_block_named_as_before(self, uv1, index, edit, message):
+        config, _ = uv1
+        assert plan_partition(config, "uv1").blocks[384].reach == 6957847019520.0
+        with pytest.raises(MalformedInputError) as caught:
+            replay_analyst("uv1", config, self.edited(uv1, index, edit))
+        assert str(caught.value) == message
+
+    def test_a_trial_debiases_its_levels_once(self, uv1, monkeypatch):
+        config, transcript = uv1
+        calls = []
+        debias = protocols.debias_quad_counts
+        monkeypatch.setattr(protocols, "debias_quad_counts",
+                            lambda *args: calls.append(args[2].shape) or debias(*args))
+        outcome, again = run_once("uv1", config)
+        assert calls == [(64, 4)]
+        assert outcome == transcript.outcome
+        assert_same_text(again.dumps(), transcript.dumps())
 
 
 class TestTranscriptAndReplay:
@@ -641,14 +741,14 @@ class TestTranscriptAndReplay:
         config = make_config(protocol, **kwargs)
         _, transcript = run_once(protocol, config)
         text = transcript.dumps()
-        assert text == reference_dumps(transcript)
+        assert_same_text(text, reference_dumps(transcript))
         transcript.dump(tmp_path / "t.jsonl")
         assert (tmp_path / "t.jsonl").read_bytes() == text.encode("ascii")
         assert_same_items(Transcript.loads(text, protocol, config.n), transcript)
         # blocks written in many slices and read in many windows
         monkeypatch.setattr(protocols, "_SLICE", 7)
         monkeypatch.setattr(protocols, "_WINDOW", 1000)
-        assert transcript.dumps() == text
+        assert_same_text(transcript.dumps(), text)
         assert_same_items(Transcript.loads(text, protocol, config.n), transcript)
 
     @pytest.mark.parametrize("protocol,kwargs", [
@@ -740,6 +840,18 @@ class TestTranscriptAndReplay:
         with pytest.raises(MalformedInputError):
             replay_analyst("kv2", config, truncated)
 
+    def test_blocks_added_at_once_are_stored_one_by_one(self):
+        users, values = np.arange(10, 16), np.array([0.5, -1.0, 2.0, 3.0, 4.0, -0.0])
+        at_once, one_by_one = Transcript("uv1", 16), Transcript("uv1", 16)
+        at_once.add_blocks(1, ("a", "b", "c"), "real", users, values)
+        for i, tag in enumerate("abc"):
+            one_by_one.add_messages(1, tag, "real", users[2 * i:2 * i + 2], values[2 * i:2 * i + 2])
+        assert_same_items(at_once, one_by_one)
+        for bad_users, bad_values in ((users[:5], values[:5]), (users, values[:5]),
+                                      (users.reshape(3, 2), values.reshape(3, 2))):
+            with pytest.raises(ValueError, match="align and split evenly"):
+                at_once.add_blocks(1, ("a", "b", "c"), "real", bad_users, bad_values)
+
     def test_duplicate_user_rejected(self):
         t = Transcript("kv2", 10)
         t.add_messages(1, "level:0", "quad", np.array([1, 1]), np.array([0, 1]))
@@ -765,7 +877,7 @@ class TestTranscriptAndReplay:
         path = tmp_path / "transcript.jsonl"
         transcript.dump(path)
         loaded = Transcript.load(path, "uv2", config.n)
-        assert loaded.dumps() == transcript.dumps()
+        assert_same_text(loaded.dumps(), transcript.dumps())
         assert loaded.outcome == transcript.outcome
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpgauss.numerics import uniform_block
+from ldpgauss.numerics import floor_div_mod4_array, uniform_block
 from ldpgauss.randomizers import (
     LatticeSpec,
     one_round_uv_rr2_values,
@@ -74,6 +74,21 @@ class TestRR1:
         assert rep == QuadReport(user_id=5, level_j=1, value=expected)
         with pytest.raises(ValueError):
             rr1(RandomStream(0, 0), 0.0, 1.0, 0)
+
+    def test_low_bits_equal_mod4_bitwise(self):
+        # the alternative report takes the low two bits of a value in [1, 6]
+        # where it took the value mod 4
+        n = 1 << 14
+        u = uniform_block(5, 0, np.arange(n), first=2, count=2)
+        rng = np.random.default_rng(13)
+        xs = rng.normal(0.0, 1.0, n) * 2.0 ** rng.integers(-30, 300, n)
+        for levels in (rng.integers(-20, 21, n), rng.integers(200, 260, n), -5, 3):
+            truth = floor_div_mod4_array(xs, levels)
+            alt = (truth + 1 + (u[:, 1] * 3.0).astype(np.int64)) % 4
+            want = np.where(u[:, 0] <= quad_keep_prob(0.5), truth, alt)
+            got = rr1_values(0.5, xs, levels, u[:, 0], u[:, 1])
+            assert got.tobytes() == want.tobytes()
+        assert set(np.unique(got).tolist()) == {0, 1, 2, 3}
 
     def test_exact_ldp_ratio(self):
         for eps in (0.1, 0.5, 1.0, 2.0, math.log(3.0)):
