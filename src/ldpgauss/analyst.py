@@ -113,12 +113,17 @@ def est_mean(
     psi = mean_search_threshold(eps, k, plan.count, beta)
     threshold = 0.52 * k + psi
 
+    # Each level's max bin and its first index, read off one matrix whose
+    # row j - l_min is level j.
+    rows = np.array([hists[j] for j in plan.levels])
+    tops, heaviest = rows.max(axis=1).tolist(), rows.argmax(axis=1).tolist()
+
     # Interval at the current level j, in units of 2^j: [lo, hi] covers
     # [lo * 2^j, hi * 2^j]. The descent stops at l_min at the latest.
     lo, hi = 0, 1
     j = plan.l_max
-    while j > plan.l_min and np.max(hists[j]) >= threshold:
-        c = _residue_match(lo, hi, int(np.argmax(hists[j])))
+    while j > plan.l_min and tops[j - plan.l_min] >= threshold:
+        c = _residue_match(lo, hi, heaviest[j - plan.l_min])
         if c is None:
             break
         lo, hi = 2 * c, 2 * c + 2
@@ -148,9 +153,10 @@ def est_var(
     """
     _require_levels(hists, plan)
     threshold = 0.03 * k + variance_threshold(eps, k, plan.count, beta)
+    lows = np.array([hists[j] for j in plan.levels]).min(axis=1).tolist()  # level j at j - l_min
     lowest_all_concentrated = plan.l_max
     for j in range(plan.l_max, plan.l_min - 1, -1):
-        if np.min(hists[j]) <= threshold:
+        if lows[j - plan.l_min] <= threshold:
             lowest_all_concentrated = j
         else:
             break

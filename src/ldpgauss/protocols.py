@@ -467,7 +467,7 @@ def _round_layout(blocks: Tuple[Block, ...], round_no: int) -> RoundLayout:
 # json.dumps spells them; _message_lines is the one spelling of such lines.
 _INT_KINDS = ("quad", "sign")
 _SLICE = 1 << 16  # message lines formatted at once
-_WINDOW = 1 << 22  # characters of message lines parsed at once
+_WINDOW = 1 << 20  # bytes of a transcript read at once
 # Integers of at most 15 digits, so that they parse exactly as floats too.
 _INT = r"(?:0|-?[1-9][0-9]{0,14})"
 _STRING = r'"(?:[^"\\\n]|\\.)*"'
@@ -476,7 +476,7 @@ _MESSAGE_HEAD = re.compile(
 )
 # Consecutive message lines that repeat the first one's head (group 1) and
 # middle (group 2), for integer and for real values; a real value only has
-# its characters checked here, and _read_run checks its spelling. The
+# its characters checked here, and the reader checks its spelling. The
 # possessive repeat never backtracks, which keeps the backreferences as fast
 # as a literal head and middle. Python's re has it from 3.11 on, hence the
 # package's requires-python; the atomic-lookahead spelling 3.10 accepts,
@@ -613,20 +613,24 @@ def _run_key(item: tuple):
 _MISSPELLED = "a value at or below this line is not spelled as written"
 
 
-def _malformed(text: str, pos: int, why: str) -> MalformedInputError:
-    return MalformedInputError(f"line {text.count(chr(10), 0, pos) + 1}: {why}")
+def _malformed(line: int, why: str) -> MalformedInputError:
+    return MalformedInputError(f"line {line}: {why}")
 
 
-def _read_run(text: str, pos: int, cut: int):
-    """The message lines from `pos` that share the first one's round,
-    subgroup and kind, up to `cut`: ((round, subgroup, kind), users, values,
-    end), or None when the line at `pos` is not a message line as written.
-    Real values only have their characters checked here."""
+def _read_run(text: str, pos: int, cut: int, line: int):
+    """The message lines from `pos` (line `line` of the transcript) that
+    share the first one's round, subgroup and kind, up to `cut`: ((round,
+    subgroup, kind), users, values, end), or None when the line at `pos` is
+    not a message line as written. Real values only have their characters
+    checked here."""
     first = _MESSAGE_HEAD.match(text, pos, cut)
     if first is None:
         return None
     head, middle = first[1], first[3]
-    subgroup, kind = json.loads(first[4]), json.loads(first[5])
+    try:  # a string with an escape JSON lacks, such as \q
+        subgroup, kind = json.loads(first[4]), json.loads(first[5])
+    except ValueError:
+        return None
     if json.dumps(subgroup) != first[4] or json.dumps(kind) != first[5]:
         return None
     integral = kind in _INT_KINDS
@@ -639,7 +643,7 @@ def _read_run(text: str, pos: int, cut: int):
     try:
         numbers = np.fromstring(body, dtype=np.int64 if integral else np.float64, sep=middle)
     except ValueError:
-        raise _malformed(text, pos, _MISSPELLED) from None
+        raise _malformed(line, _MISSPELLED) from None
     return (int(first[2]), subgroup, kind), numbers[0::2].astype(np.int64), numbers[1::2], end
 
 
@@ -751,21 +755,41 @@ class Transcript:
 
     @classmethod
     def loads(cls, text: str, protocol: str, n: int) -> "Transcript":
-        """Parse what `dumps` writes. Message lines must be spelled exactly as
-        it spells them, and are read a run of consecutive lines sharing
-        round, subgroup and kind at a time; real values' spelling is checked
-        against the writer's own formatter. Any other line is a broadcast or
-        an outcome: read as JSON, rebuilt with the writer's types
-        (`_as_written`), and spelled as the writer spells that. An outcome,
-        if any, is the last line, and every line ends in a newline. Raises
-        MalformedInputError for anything else."""
-        if text and text[-1] != "\n":
-            raise _malformed(text, len(text), "the last line lacks its newline")
+        """Parse what `dumps` writes, as `load` reads a file: _WINDOW
+        characters at a time."""
+        pieces = (text[i:i + _WINDOW] for i in range(0, len(text), _WINDOW))
+        return cls._read(pieces, protocol, n)
+
+    @classmethod
+    def load(cls, path, protocol: str, n: int) -> "Transcript":
+        """Read what `dump` writes, _WINDOW bytes at a time, each decoded as
+        ASCII with its line ends kept as they are: a non-ASCII byte, or a CR
+        or CRLF line end, makes the file malformed."""
+        with open(path, "rb") as fh:
+            pieces = (piece.decode("ascii") for piece in iter(functools.partial(fh.read, _WINDOW), b""))
+            return cls._read(pieces, protocol, n)
+
+    @classmethod
+    def _read(cls, pieces, protocol: str, n: int) -> "Transcript":
+        """Parse the text that `pieces` spell, one window at a time: the
+        pieces read so far up to their last newline, the partial line after
+        it carried into the next window. Message lines must be spelled
+        exactly as `dumps` spells them, and are read a run of consecutive
+        lines sharing round, subgroup and kind at a time (a run cut by a
+        window's end goes on in the next); real values' spelling is checked
+        against the writer's own formatter before their window is dropped.
+        Any other line is a broadcast or an outcome: read as JSON, rebuilt
+        with the writer's types (`_as_written`), and spelled as the writer
+        spells that. An outcome, if any, is the last line, and every line
+        ends in a newline. Raises MalformedInputError, naming the line, for
+        anything else."""
         transcript = cls(protocol, n)
+        lines = outcome_line = 0  # lines parsed so far; the outcome's line
         pending: Optional[list] = None  # [round, subgroup, kind, user arrays, value arrays]
-        # runs of real values read from text position `unchecked_from` on,
-        # all of round and kind `unchecked_key`: (subgroup, users, values)
-        unchecked, unchecked_from, unchecked_key, unchecked_lines = [], 0, None, 0
+        # runs of real values read from window position `unchecked_from`
+        # (line `unchecked_line`) on, all of round and kind `unchecked_key`:
+        # (subgroup, users, values)
+        unchecked, unchecked_from, unchecked_line, unchecked_key, unchecked_lines = [], 0, 0, None, 0
 
         def flush() -> None:
             if pending is not None:
@@ -778,66 +802,73 @@ class Transcript:
             nonlocal unchecked_lines
             if unchecked:
                 if _message_lines(*unchecked_key, unchecked) != text[unchecked_from:upto].encode():
-                    raise _malformed(text, unchecked_from, _MISSPELLED)
+                    raise _malformed(unchecked_line, _MISSPELLED)
                 unchecked.clear()
             unchecked_lines = 0
 
-        pos = 0
-        while pos < len(text):
-            cut = text.find("\n", pos + _WINDOW) + 1 or len(text)
-            run = _read_run(text, pos, cut)
-            if run is not None:
-                key, users, values, end = run
-                round_no, subgroup, kind = key
-                if unchecked and (unchecked_key != (round_no, kind) or unchecked_lines >= _SLICE):
-                    check_spelling(pos)
-                if kind not in _INT_KINDS:
-                    if not unchecked:
-                        unchecked_from, unchecked_key = pos, (round_no, kind)
-                    unchecked.append((subgroup, users, values))
-                    unchecked_lines += users.size
-                if pending is not None and tuple(pending[:3]) == key:
-                    pending[3].append(users)
-                    pending[4].append(values)
-                else:
-                    flush()
-                    pending = [*key, [users], [values]]
-                pos = end
+        # the partial line after the last newline, in the pieces it was read
+        # in, so that a long line is joined once
+        carry, pieces = [], iter(pieces)
+        while True:
+            try:  # the carried partial line holds no newline
+                piece = next(pieces, None)
+            except UnicodeDecodeError as exc:
+                line = lines + exc.object.count(b"\n", 0, exc.start) + 1
+                raise _malformed(line, "a byte outside ASCII") from None
+            if piece is None:
+                break
+            carry.append(piece)
+            cut = piece.rfind("\n") + 1
+            if not cut:
                 continue
-            check_spelling(pos)
-            end = text.find("\n", pos)
-            line_pos, pos = pos, end + 1
-            raw = text[line_pos:end]
-            flush()
-            pending = None
-            try:  # json.JSONDecodeError is a ValueError; deep nesting recurses
-                item = _as_written(json.loads(raw))
-            except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
-                item = None
-            if item is None or _json_line(item) != raw + "\n":
-                raise _malformed(text, line_pos, "not a broadcast, an outcome or a message as written")
-            if "outcome" not in item:
-                transcript.add_broadcast(item["round"], item["broadcast"])
-            elif pos < len(text):
-                raise _malformed(text, line_pos, "a line follows the outcome")
-            else:
-                transcript.outcome = EstimateOutcome(**item["outcome"])
-        check_spelling(pos)
+            text = "".join(carry)
+            cut += len(text) - len(piece)
+            carry, pos = [text[cut:]], 0
+            while pos < cut:
+                if transcript.outcome is not None:
+                    raise _malformed(outcome_line, "a line follows the outcome")
+                run = _read_run(text, pos, cut, lines + 1)
+                if run is not None:
+                    key, users, values, end = run
+                    round_no, subgroup, kind = key
+                    if unchecked and (unchecked_key != (round_no, kind) or unchecked_lines >= _SLICE):
+                        check_spelling(pos)
+                    if kind not in _INT_KINDS:
+                        if not unchecked:
+                            unchecked_from, unchecked_line, unchecked_key = pos, lines + 1, (round_no, kind)
+                        unchecked.append((subgroup, users, values))
+                        unchecked_lines += users.size
+                    if pending is not None and tuple(pending[:3]) == key:
+                        pending[3].append(users)
+                        pending[4].append(values)
+                    else:
+                        flush()
+                        pending = [*key, [users], [values]]
+                    lines += users.size
+                    pos = end
+                    continue
+                check_spelling(pos)
+                end = text.find("\n", pos)
+                raw, pos = text[pos:end], end + 1
+                lines += 1
+                flush()
+                pending = None
+                try:  # json.JSONDecodeError is a ValueError; deep nesting recurses
+                    item = _as_written(json.loads(raw))
+                except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+                    item = None
+                if item is None or _json_line(item) != raw + "\n":
+                    raise _malformed(lines, "not a broadcast, an outcome or a message as written")
+                if "outcome" in item:
+                    transcript.outcome = EstimateOutcome(**item["outcome"])
+                    outcome_line = lines
+                else:
+                    transcript.add_broadcast(item["round"], item["broadcast"])
+            check_spelling(cut)  # before the window is dropped
+        if any(carry):
+            raise _malformed(lines + 1, "the last line lacks its newline")
         flush()
         return transcript
-
-    @classmethod
-    def load(cls, path, protocol: str, n: int) -> "Transcript":
-        """Read what `dump` writes: its bytes are decoded as ASCII and line
-        ends are kept as they are, so a non-ASCII byte, or a CR or CRLF line
-        end, makes the file malformed."""
-        with open(path, "rb") as fh:
-            try:  # the bytes are not kept past the decoding
-                text = fh.read().decode("ascii")
-            except UnicodeDecodeError as exc:
-                line = exc.object.count(b"\n", 0, exc.start) + 1
-                raise MalformedInputError(f"line {line}: a byte outside ASCII") from None
-        return cls.loads(text, protocol, n)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,10 @@ library privatizes users only through its vectorized kernels; these compose
 the same kernels user by user, so the tests can check the engine's block
 draws and counts report by report.
 
+The level walks before them are `est_mean` and `est_var` as they read one
+histogram at a time with numpy's reductions; the library reads one matrix
+of levels and must return the same bits.
+
 The transcript writers at the bottom serialize one JSON object per line
 with json.dumps, or join each message block's lines from a template of
 strings; the library fills byte matrices a run of blocks at a time and must
@@ -42,7 +46,14 @@ from ldpgauss.aggregation import (
     quad_counts_from_values,
     sign_counts_from_values,
 )
-from ldpgauss.analyst import LevelPlan
+from ldpgauss.analyst import (
+    LevelPlan,
+    _argmax_pair,
+    _require_levels,
+    _residue_match,
+    mean_search_threshold,
+    variance_threshold,
+)
 from ldpgauss.numerics import (
     TrialStreams,
     gaussian_from_uniforms,
@@ -441,6 +452,38 @@ def kv_agg2(eps: float, k: int, reports: Iterable[SignReport]) -> np.ndarray:
         raise MalformedInputError(f"got {len(values)} sign reports, expected exactly {k}")
     counts = sign_counts_from_values(np.array(values, dtype=np.int64))
     return debias_sign_counts(eps, k, counts)
+
+
+# ---------------------------------------------------------------------------
+# The analyst's level walks, one histogram at a time.
+
+def est_mean_by_rows(beta: float, eps: float, hists: Dict[int, np.ndarray], k: int, plan: LevelPlan) -> float:
+    _require_levels(hists, plan)
+    threshold = 0.52 * k + mean_search_threshold(eps, k, plan.count, beta)
+    lo, hi = 0, 1
+    j = plan.l_max
+    while j > plan.l_min and np.max(hists[j]) >= threshold:
+        c = _residue_match(lo, hi, int(np.argmax(hists[j])))
+        if c is None:
+            break
+        lo, hi = 2 * c, 2 * c + 2
+        j -= 1
+    m1, m2 = _argmax_pair(hists[j])
+    candidates = [c for c in range(lo, hi + 1) if c % 4 in (m1, m2)]
+    c_star = max(candidates) if candidates else hi
+    return c_star * 2.0 ** j
+
+
+def est_var_by_rows(beta: float, eps: float, hists: Dict[int, np.ndarray], k: int, plan: LevelPlan) -> float:
+    _require_levels(hists, plan)
+    threshold = 0.03 * k + variance_threshold(eps, k, plan.count, beta)
+    lowest_all_concentrated = plan.l_max
+    for j in range(plan.l_max, plan.l_min - 1, -1):
+        if np.min(hists[j]) <= threshold:
+            lowest_all_concentrated = j
+        else:
+            break
+    return 2.0 ** lowest_all_concentrated
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from ldpgauss.randomizers import LatticeSpec
 from oracles import (
     brute_force_subgroup_kv,
     brute_force_subgroup_uv,
+    est_mean_by_rows,
+    est_var_by_rows,
     lattice_sign_plus_prob,
     noiseless_paired_hists,
     noiseless_quad_hists,
@@ -138,6 +140,47 @@ class TestEstVar:
         plan = LevelPlan(l_min=0, l_max=2, k=10, beta=0.05, eps=1.0)
         with pytest.raises(MalformedInputError):
             est_var(0.05, 1.0, {}, 10, plan)
+
+
+class TestLevelWalks:
+    """est_mean and est_var read every level's max, first argmax and min off
+    one matrix; they must return what the walks with numpy's reductions on
+    one histogram at a time return, bit for bit, ties going to the smaller
+    index."""
+
+    @staticmethod
+    def matrices(kind, k, plan, rng):
+        shape = (plan.count, 4)
+        if kind == "random":
+            return rng.uniform(0.0, 1.2 * k, shape)
+        if kind == "tied":  # few distinct values, both thresholds among them
+            mean_at = 0.52 * k + mean_search_threshold(1.0, k, plan.count, 0.05)
+            var_at = 0.03 * k + variance_threshold(1.0, k, plan.count, 0.05)
+            return rng.choice([0.0, var_at, mean_at, float(k), float(k)], shape)
+        rows = rng.uniform(-0.2 * k, 1.2 * k, shape)  # non-finite bins too
+        rows[rng.random(shape) < 0.05] = np.nan
+        rows[rng.random(shape) < 0.05] = np.inf
+        rows[rng.random(shape) < 0.05] = -np.inf
+        return rows
+
+    @pytest.mark.parametrize("kind", ["random", "tied", "non-finite"])
+    def test_walks_match_the_walks_by_rows_bitwise(self, kind):
+        rng = np.random.default_rng(["random", "tied", "non-finite"].index(kind))
+        k = 1000
+        for _ in range(400):
+            l_min = int(rng.integers(-6, 4))
+            plan = LevelPlan(l_min=l_min, l_max=l_min + int(rng.integers(0, 64)), k=k, beta=0.05, eps=1.0)
+            rows = self.matrices(kind, k, plan, rng)
+            hists = dict(zip(plan.levels, rows))
+            for walk, by_rows in ((est_mean, est_mean_by_rows), (est_var, est_var_by_rows)):
+                assert walk(0.05, 1.0, hists, k, plan).hex() == by_rows(0.05, 1.0, hists, k, plan).hex()
+
+    def test_ties_go_to_the_smaller_index(self):
+        # level 1 ties bins 1 and 3 at its max: the descent follows residue 1
+        k = 1000
+        plan = LevelPlan(l_min=0, l_max=1, k=k, beta=0.05, eps=1.0)
+        hists = {1: as_bins([0, k, 0, k]), 0: as_bins([0, 0, k, k])}
+        assert est_mean(0.05, 1.0, hists, k, plan) == est_mean_by_rows(0.05, 1.0, hists, k, plan) == 3.0
 
 
 class TestRefineKnownSigma:

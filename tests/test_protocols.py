@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -800,6 +802,15 @@ class TestTranscriptAndReplay:
                 Transcript.loads(text, "kv2", 16)
         assert Transcript.loads(good * 2, "kv2", 16).message_count == 2
 
+    @pytest.mark.parametrize("field", ["subgroup", "kind"])
+    def test_message_with_an_escape_json_lacks_rejected(self, field):
+        # "\q" is no JSON escape: the line is malformed, not a JSON decode error
+        good = '{"round":1,"user":0,"subgroup":"refine","kind":"sign","value":-1}\n'
+        bad = good.replace(f'"{field}":"', f'"{field}":"\\q', 1)
+        for text, line in ((bad, 1), (good + bad, 2)):
+            with pytest.raises(MalformedInputError, match=f"^line {line}: not a broadcast"):
+                Transcript.loads(text, "kv2", 16)
+
     @pytest.mark.parametrize("where", [0, 0.5, -1])
     def test_respelled_real_in_a_run_of_blocks_rejected(self, where, monkeypatch):
         # the reader checks real values' spelling a run of blocks at a time;
@@ -879,6 +890,100 @@ class TestTranscriptAndReplay:
         loaded = Transcript.load(path, "uv2", config.n)
         assert_same_text(loaded.dumps(), transcript.dumps())
         assert loaded.outcome == transcript.outcome
+
+
+class TestStreamedLoad:
+    """`load` reads a file _WINDOW bytes at a time, cut at the last newline;
+    runs, the spelling check, line numbers and the outcome rule carry across
+    windows."""
+
+    @pytest.mark.parametrize("window", [1, 7, 1000, protocols._WINDOW])
+    @pytest.mark.parametrize("protocol", ["kv2", "kv1", "uv2", "uv1"])
+    def test_load_reads_back_at_any_window(self, protocol, window, tmp_path, monkeypatch):
+        config = make_config(protocol, n=2 ** 12)
+        _, transcript = run_once(protocol, config)
+        transcript.dump(tmp_path / "t.jsonl")
+        monkeypatch.setattr(protocols, "_WINDOW", window)
+        assert_same_items(Transcript.load(tmp_path / "t.jsonl", protocol, config.n), transcript)
+
+    @staticmethod
+    def edited_copy(path, lines, number, edit):
+        edited = list(lines)
+        edited[number - 1] = edit(edited[number - 1])
+        path.write_bytes(b"".join(edited))
+        return path
+
+    @pytest.mark.parametrize("window", [1000, protocols._WINDOW])
+    @pytest.mark.parametrize("protocol,fault,edit", [
+        ("kv2", "a byte outside ASCII", lambda line: line[:20] + "\u00e9".encode() + line[20:]),
+        ("uv2", "a byte outside ASCII", lambda line: line[:-2] + b"\x80" + line[-2:]),
+        ("kv2", "not a broadcast", lambda line: line[:-1] + b"\r\n"),
+        ("uv2", "not a broadcast", lambda line: line[:-1] + b"\r\n"),
+        ("kv1", "not a broadcast", lambda line: b"[]\n"),
+        ("uv1", "not a broadcast", lambda line: line.replace(b",", b", ", 1)),
+    ])
+    def test_fault_past_the_first_window_names_its_line(
+        self, protocol, fault, edit, window, tmp_path, monkeypatch
+    ):
+        config = make_config(protocol, n=2 ** 15)
+        _, transcript = run_once(protocol, config)
+        text = transcript.dumps().encode()
+        assert len(text) > protocols._WINDOW
+        lines = text.splitlines(True)
+        monkeypatch.setattr(protocols, "_WINDOW", window)
+        # a line whose first byte lies past the first window, and the last
+        # message line
+        past = next(i for i, end in enumerate(itertools.accumulate(map(len, lines)), 2) if end > window) + 2
+        for number in (past, len(lines) - 1):
+            path = self.edited_copy(tmp_path / f"{number}.jsonl", lines, number, edit)
+            with pytest.raises(MalformedInputError, match=f"^line {number}: {fault}"):
+                Transcript.load(path, protocol, config.n)
+            if fault != "a byte outside ASCII":
+                with pytest.raises(MalformedInputError, match=f"^line {number}: {fault}"):
+                    Transcript.loads(path.read_bytes().decode("ascii"), protocol, config.n)
+
+    @pytest.mark.parametrize("window", [1, 1000, protocols._WINDOW])
+    def test_file_without_final_newline_rejected(self, window, tmp_path, monkeypatch):
+        config = make_config("uv2", n=2 ** 12 if window == 1 else 2 ** 15)
+        _, transcript = run_once("uv2", config)
+        text = transcript.dumps().encode()
+        (tmp_path / "t.jsonl").write_bytes(text[:-1])
+        last = text.count(b"\n")
+        monkeypatch.setattr(protocols, "_WINDOW", window)
+        with pytest.raises(MalformedInputError, match=f"^line {last}: .*newline"):
+            Transcript.load(tmp_path / "t.jsonl", "uv2", config.n)
+
+    @pytest.mark.parametrize("after", [0, 1, 30])
+    def test_line_after_the_outcome_in_the_next_window_rejected(self, after, tmp_path, monkeypatch):
+        # the first window ends `after` bytes past the outcome's newline
+        config = make_config("kv2", n=2 ** 12)
+        _, transcript = run_once("kv2", config)
+        text = transcript.dumps().encode()
+        outcome_line = text.count(b"\n")
+        for extra in (text.splitlines(True)[0], b"\n"):
+            (tmp_path / "t.jsonl").write_bytes(text + extra)
+            monkeypatch.setattr(protocols, "_WINDOW", len(text) + min(after, len(extra) - 1))
+            with pytest.raises(MalformedInputError, match=f"^line {outcome_line}: a line follows the outcome"):
+                Transcript.load(tmp_path / "t.jsonl", "kv2", config.n)
+
+    def test_load_keeps_a_fraction_of_the_file_in_memory(self, tmp_path, monkeypatch):
+        # a whole-file reader holds the file's bytes and text at once; a
+        # streamed one holds a window and the parsed arrays
+        config = make_config("kv2", n=2 ** 18, k1=2 ** 14)
+        _, transcript = run_once("kv2", config)
+        path = tmp_path / "t.jsonl"
+        transcript.dump(path)
+        size = path.stat().st_size
+        monkeypatch.setattr(protocols, "_WINDOW", 1 << 16)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            loaded = Transcript.load(path, "kv2", config.n)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_same_items(loaded, transcript)
+        assert peak - kept < size / 4, (peak - kept, size)
 
 
 # Integers either side of each 4-digit group boundary the writer spells, up
