@@ -33,6 +33,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import operator
 import re
 from dataclasses import dataclass, field, replace
@@ -511,13 +512,7 @@ def _as_written(obj) -> dict:
     }}
 
 
-def _spell_ints(array: np.ndarray) -> List[str]:
-    values = array.tolist()
-    return list(map(str, values if array.dtype.kind in "iu" else map(int, values)))
-
-
 def _spell_floats(array: np.ndarray) -> List[str]:
-    array = array.astype(np.float64, copy=False)
     spelled = list(map(repr, array.tolist()))
     for i in np.flatnonzero(~np.isfinite(array)).tolist():
         spelled[i] = json.dumps(float(array[i]))  # NaN, Infinity, -Infinity
@@ -548,13 +543,9 @@ def _text_field(spelled: List[str], dtype: str = "S") -> np.ndarray:
     return column.view(np.uint8).reshape(column.size, column.itemsize)
 
 
-def _int_field(array: np.ndarray) -> np.ndarray:
-    """Numbers spelled as int() spells them, as the rows of a uint8 matrix,
-    NUL-padded on the left. Those int64 cannot hold exactly, or that are not
-    numbers, are spelled one by one."""
-    if array.dtype.kind not in "biuf" or not np.abs(array.astype(np.float64)).max() < 2.0 ** 63:
-        return _text_field(_spell_ints(array))
-    x = array.astype(np.int64, copy=False)  # truncates floats toward zero, as int() does
+def _int_field(x: np.ndarray) -> np.ndarray:
+    """int64 integers spelled as int() spells them, as the rows of a uint8
+    matrix, NUL-padded on the left."""
     magnitude = np.abs(x)
     negative = x < 0
     sign = int(negative.any())
@@ -574,12 +565,13 @@ def _int_field(array: np.ndarray) -> np.ndarray:
 
 def _message_lines(round_no: int, kind: str, blocks: List[tuple]) -> bytes:
     """The message lines of `blocks`, (subgroup, users, values) triples of
-    one round and kind whose arrays share their dtypes, as the transcript
-    spells them. Each line is a row of a uint8 matrix: its block's template
-    row (head, NULs for the user, middle NUL-padded to the widest, NULs for
-    the value, and "}\n") with the user's and the value's NUL-padded
-    spellings written in. Dropping the NULs leaves the lines; no line holds a
-    NUL of its own, because json.dumps escapes control characters."""
+    one round and kind with int64 users and int64 or float64 values, as the
+    transcript spells them. Each line is a row of a uint8 matrix: its
+    block's template row (head, NULs for the user, middle NUL-padded to the
+    widest, NULs for the value, and "}\n") with the user's and the value's
+    NUL-padded spellings written in. Dropping the NULs leaves the lines; no
+    line holds a NUL of its own, because json.dumps escapes control
+    characters."""
     users = np.concatenate([block[1] for block in blocks])
     values = np.concatenate([block[2] for block in blocks])
     user_field = _int_field(users)
@@ -602,12 +594,27 @@ def _message_lines(round_no: int, kind: str, blocks: List[tuple]) -> bytes:
 
 
 def _run_key(item: tuple):
-    """What message items of one run share: round, kind, and the dtypes of
-    users and values (so that joining them converts nothing); None for a
+    """What message items of one run share: round and kind; None for a
     broadcast."""
     if item[0] == "broadcast":
         return None
-    return item[1], item[3], item[4].dtype, item[5].dtype
+    return item[1], item[3]
+
+
+def _held(array, kinds: str) -> np.ndarray:
+    """`array` as a line spells it: integers (dtype kinds "iu") of at most
+    15 digits, as _INT reads them, as int64, or floats ("f") as float64 with
+    every NaN the one NaN a line spells; MalformedInputError for the rest."""
+    array = np.asarray(array)
+    integral = kinds == "iu"
+    if array.dtype.kind not in kinds or array.dtype.itemsize > 8 or (
+        integral and array.size and not -10 ** 15 < array.min() <= array.max() < 10 ** 15
+    ):
+        what = "integers of at most 15 digits" if integral else "floats of at most 64 bits"
+        raise MalformedInputError(f"expected {what}, got {array!r}")
+    if not integral and np.isnan(array).any():
+        array = np.where(np.isnan(array), np.nan, array)
+    return array.astype(np.int64 if integral else np.float64, copy=False)
 
 
 _MISSPELLED = "a value at or below this line is not spelled as written"
@@ -663,20 +670,19 @@ class Transcript:
         self.outcome: Optional[EstimateOutcome] = None
 
     def add_messages(self, round_no: int, subgroup: str, kind: str, users, values) -> None:
-        users = np.asarray(users)
-        values = np.asarray(values)
-        if users.shape != values.shape:
-            raise ValueError("users and values must align")
-        self._items.append(("messages", round_no, subgroup, kind, users, values))
+        self.add_blocks(round_no, (subgroup,), kind, users, values)
 
     def add_blocks(self, round_no: int, subgroups: tuple, kind: str, users, values) -> None:
         """Consecutive message blocks of equal size, one per subgroup: the
-        users and values split evenly among them, in order. Each block is
-        stored as add_messages stores it."""
-        users = np.asarray(users)
-        values = np.asarray(values)
+        users and values split evenly among them, in order, each held as its
+        lines spell it (`_held`): the round, users, and quad and sign values
+        integers, any other kind's values floats. MalformedInputError, adding
+        nothing, for anything else."""
+        round_no = int(_held(round_no, "iu"))
+        users = _held(users, "iu")
+        values = _held(values, "iu" if kind in _INT_KINDS else "f")
         if users.ndim != 1 or users.shape != values.shape or users.size % len(subgroups):
-            raise ValueError("users and values must align and split evenly")
+            raise MalformedInputError("users and values must align and split evenly")
         rows = (len(subgroups), -1)
         self._items.extend(zip(
             itertools.repeat("messages"), itertools.repeat(round_no), subgroups,
@@ -684,7 +690,12 @@ class Transcript:
         ))
 
     def add_broadcast(self, round_no: int, payload: dict) -> None:
-        self._items.append(("broadcast", round_no, dict(payload)))
+        """The broadcast opening round `round_no`, held as its line spells it:
+        an int round and float values under string keys; else MalformedInputError."""
+        payload = dict(payload)
+        if not all(isinstance(key, str) and isinstance(value, numbers.Real) for key, value in payload.items()):
+            raise MalformedInputError(f"a broadcast maps strings to real numbers, got {payload!r}")
+        self._items.append(("broadcast", int(_held(round_no, "iu")), {k: float(v) for k, v in payload.items()}))
 
     @property
     def message_count(self) -> int:
@@ -713,11 +724,9 @@ class Transcript:
         """Sequential interactivity and round-count invariants, in O(n)."""
         ids = self.user_ids()
         if ids.size:
-            if ids.dtype.kind not in "iu":
-                raise MalformedInputError(f"user indices must be integers, got {ids.dtype}")
             if ids.min() < 0 or ids.max() >= self.n:
                 raise MalformedInputError("user index outside the population")
-            if np.bincount(ids.astype(np.int64, copy=False), minlength=self.n).max() > 1:
+            if np.bincount(ids, minlength=self.n).max() > 1:
                 raise MalformedInputError("a user sent more than one message")
         if not self.rounds <= set(range(1, max_rounds + 1)):
             raise MalformedInputError(f"round index outside 1..{max_rounds}")
@@ -725,7 +734,7 @@ class Transcript:
     def _pieces(self):
         """The serialized bytes in pieces: one line per broadcast and for the
         outcome, and the message lines of each run of consecutive message
-        blocks that share round, kind and dtypes, _SLICE lines at a time."""
+        blocks that share round and kind, _SLICE lines at a time."""
         for key, run in itertools.groupby(self._items, _run_key):
             if key is None:
                 for item in run:
@@ -792,8 +801,13 @@ class Transcript:
         unchecked, unchecked_from, unchecked_line, unchecked_key, unchecked_lines = [], 0, 0, None, 0
 
         def flush() -> None:
-            if pending is not None:
-                transcript.add_messages(*pending[:3], *map(np.concatenate, pending[3:]))
+            if pending is not None:  # a column at a time, each piece dropped once copied
+                for column, pieces in ((3, pending[3]), (4, pending[4])):
+                    pending[column] = np.empty(end := sum(map(len, pieces)), pieces[0].dtype)
+                    while pieces:
+                        piece = pieces.pop()
+                        pending[column][end - len(piece):end], end = piece, end - len(piece)
+                transcript.add_messages(*pending)
 
         def check_spelling(upto: int) -> None:
             """Real values must be spelled as written: the unchecked runs'
@@ -876,20 +890,16 @@ class Transcript:
 # transcript. Live runs call it on the transcript their users write, and
 # replay calls it on a recorded one.
 
-_DTYPE_KINDS = {"quad": "i", "sign": "i", "real": "f"}
 _HEAD = operator.itemgetter(slice(4))
 _USERS = operator.itemgetter(4)
 _VALUES = operator.itemgetter(5)
 _SHAPE = operator.attrgetter("shape")
-_DTYPE = operator.attrgetter("dtype")
 
 
 def _reported(run: Run, blocks: List[np.ndarray]) -> Optional[np.ndarray]:
     """The run's values joined in block order, or None unless a randomizer
     of the run's kind can report every one of them; the run's `reach` bounds
     each block's real values in magnitude."""
-    if any(dtype.kind != _DTYPE_KINDS[run.kind] for dtype in set(map(_DTYPE, blocks))):
-        return None
     values = np.concatenate(blocks)
     if run.kind == "real":
         peaks = np.abs(values).reshape(len(blocks), run.count).max(axis=1)
@@ -905,20 +915,12 @@ def _not_planned(plan: PartitionPlan, index: int) -> MalformedInputError:
     return MalformedInputError(f"transcript block {index} is not the planned {plan.blocks[index]}")
 
 
-def _first_unplanned(plan: PartitionPlan, items: List[tuple]) -> MalformedInputError:
+def _first_unplanned(plan: PartitionPlan, layout: RoundLayout, items: List[tuple]) -> MalformedInputError:
     """The error naming the first of `items` that is not its planned block:
-    a broadcast of the planned round, or messages of the planned round, tag
-    and kind with user indices an integer array of the planned length."""
-    for index, (block, item) in enumerate(zip(plan.blocks, items)):
-        if block.kind == "broadcast":
-            match = item[:2] == ("broadcast", block.round)
-        else:
-            match = (
-                item[:4] == ("messages", block.round, block.tag, block.kind)
-                and item[4].dtype.kind == "i"
-                and item[4].shape == (block.count,)
-            )
-        if not match:
+    one whose head, or whose users' shape, is not the layout's."""
+    shapes = iter(layout.shapes)
+    for index, (head, item) in enumerate(zip(layout.heads, items)):
+        if item[:len(head)] != head or head[0] == "messages" and item[4].shape != next(shapes):
             return _not_planned(plan, index)
     raise AssertionError("every item is its planned block")
 
@@ -931,15 +933,15 @@ def _gate(plan: PartitionPlan, transcript: Transcript, round_no: int) -> Dict[st
     Raises MalformedInputError unless the transcript's items through this
     round equal the plan's block table, block for block, and at the last
     round no item follows: each broadcast sits where the table puts it, and
-    each message block has its planned round, tag, kind and length, with
-    user indices an integer array. This round's blocks must hold exactly
-    their planned ranges of users (the analyst gates the rounds in order, so
-    earlier rounds' were checked before). Planned ranges are disjoint and
-    lie in [0, n), so no user reports twice, outside their own subgroup, or
-    at all if discarded. Every value of this round must also be one its
-    randomizer can report: quad values in {0,1,2,3}, sign values in {-1,+1},
-    real values finite (and within the randomizer's reach in uv1). Errors
-    name the first block at fault, as a scan block by block would.
+    each message block has its planned round, tag, kind and length. This
+    round's blocks must hold exactly their planned ranges of users (the
+    analyst gates the rounds in order, so earlier rounds' were checked
+    before). Planned ranges are disjoint and lie in [0, n), so no user
+    reports twice, outside their own subgroup, or at all if discarded. Every
+    value of this round must also be one its randomizer can report: quad
+    values in {0,1,2,3}, sign values in {-1,+1}, real values finite (and
+    within the randomizer's reach in uv1). Errors name the first block at
+    fault, as a scan block by block would.
     """
     layout = plan.layouts[round_no - 1]
     items = transcript._items
@@ -953,12 +955,9 @@ def _gate(plan: PartitionPlan, transcript: Transcript, round_no: int) -> Dict[st
     for i in layout.broadcasts:
         heads[i] = heads[i][:2]
     if heads != layout.heads:
-        raise _first_unplanned(plan, items)
-    users = list(map(_USERS, itertools.compress(items, layout.messages)))
-    if list(map(_SHAPE, users)) != layout.shapes or any(
-        dtype.kind != "i" for dtype in set(map(_DTYPE, users))
-    ):
-        raise _first_unplanned(plan, items)
+        raise _first_unplanned(plan, layout, items)
+    if list(map(_SHAPE, map(_USERS, itertools.compress(items, layout.messages)))) != layout.shapes:
+        raise _first_unplanned(plan, layout, items)
     runs = [(run, items[run.first:run.first + len(run.tags)])
             for run in layout.runs if run.kind != "broadcast"]
     for run, blocks in runs:

@@ -525,13 +525,12 @@ class TestRoundGate:
     @pytest.mark.parametrize("index,edit,message", [
         (384, lambda item: item[:2] + ("lattice:0:0",) + item[3:], PLANNED_384),
         (384, lambda item: item[:4] + (item[4][:-1], item[5][:-1]), PLANNED_384),
-        (384, lambda item: item[:4] + (item[4].astype(np.float64), item[5]), PLANNED_384),
         (384, lambda item: item[:4] + (item[4] + 1, item[5]), PLANNED_384),
         (384, lambda item: item[:5] + (TestRoundGate.at(item[5], 5, 6957847019520.0),),
          "round 1 holds a real value no randomizer reports"),
         (30, lambda item: item[:5] + (TestRoundGate.at(item[5], 5, 4),),
          "round 1 holds a quad value no randomizer reports"),
-    ], ids=["wrong tag", "one user short", "float users", "users shifted by one",
+    ], ids=["wrong tag", "one user short", "users shifted by one",
             "real value at the reach", "quad value 4"])
     def test_edited_block_named_as_before(self, uv1, index, edit, message):
         config, _ = uv1
@@ -539,6 +538,15 @@ class TestRoundGate:
         with pytest.raises(MalformedInputError) as caught:
             replay_analyst("uv1", config, self.edited(uv1, index, edit))
         assert str(caught.value) == message
+
+    def test_float_users_refused_when_added(self, uv1):
+        # a transcript holds integer users only, so no gate ever sees others
+        config, transcript = uv1
+        _, round_no, tag, kind, users, values = transcript._items[384]
+        copy = Transcript("uv1", config.n)
+        with pytest.raises(MalformedInputError, match="integers of at most 15 digits"):
+            copy.add_messages(round_no, tag, kind, users.astype(np.float64), values)
+        assert copy._items == []
 
     def test_a_trial_debiases_its_levels_once(self, uv1, monkeypatch):
         config, transcript = uv1
@@ -780,6 +788,37 @@ class TestTranscriptAndReplay:
         assert_same_items(loaded, transcript)
         assert loaded.dumps() == text
 
+    def test_every_nan_is_held_as_the_nan_a_line_spells(self):
+        # a line spells every NaN "NaN", which reads back as the default NaN
+        payloads = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                             0x7FF8000000000123], np.uint64).view(np.float64)
+        assert np.isnan(payloads).all()
+        transcript = Transcript("uv2", 16)
+        transcript.add_messages(1, "refine", "real", np.arange(6), np.append(payloads, [1.5, -0.0]))
+        values = transcript._items[0][5]
+        assert values.view(np.uint64).tolist()[:4] == [int(np.array(math.nan).view(np.uint64))] * 4
+        assert values.view(np.uint64).tolist()[4:] == np.array([1.5, -0.0]).view(np.uint64).tolist()
+        assert_same_items(Transcript.loads(transcript.dumps(), "uv2", 16), transcript)
+
+    def test_broadcasts_are_held_as_their_lines_spell_them(self):
+        # an int round and float values, whatever integer or real types they
+        # are given as: a numpy round used to fail dumps, and an int value was
+        # written as a line loads refused
+        transcript = Transcript("kv2", 16)
+        transcript.add_broadcast(np.int64(2), {"mu_hat1": 3})
+        transcript.add_broadcast(1, {"interval_lo": np.float32(-1.5), "interval_hi": np.int64(2)})
+        assert transcript.broadcasts() == [(2, {"mu_hat1": 3.0}), (1, {"interval_lo": -1.5, "interval_hi": 2.0})]
+        assert all(type(value) is float for _, payload in transcript.broadcasts() for value in payload.values())
+        text = transcript.dumps()
+        assert text == '{"round":2,"broadcast":{"mu_hat1":3.0}}\n{"round":1,"broadcast":' \
+                       '{"interval_lo":-1.5,"interval_hi":2.0}}\n'
+        assert_same_items(Transcript.loads(text, "kv2", 16), transcript)
+        for round_no, payload in ((2.0, {}), ("2", {}), (None, {}), (10 ** 15, {}), (2, {"mu_hat1": "3"}),
+                                  (2, {"mu_hat1": None}), (2, {"mu_hat1": [3.0]}), (2, {1: 3.0})):
+            with pytest.raises(MalformedInputError):
+                transcript.add_broadcast(round_no, payload)
+            assert_same_text(transcript.dumps(), text)
+
     @pytest.mark.parametrize("line", [
         '{"round":1,"user":01,"subgroup":"refine","kind":"real","value":0.5}',
         '{"round":1,"user":-0,"subgroup":"refine","kind":"real","value":0.5}',
@@ -872,6 +911,11 @@ class TestTranscriptAndReplay:
     @pytest.mark.parametrize("users", [[-1, 0], [0, 10], [0.0, 1.0]])
     def test_bad_user_index_rejected(self, users):
         t = Transcript("kv2", 10)
+        if np.array(users).dtype.kind == "f":  # refused as it is added
+            with pytest.raises(MalformedInputError, match="integers"):
+                t.add_messages(1, "level:0", "quad", np.array(users), np.array([0, 1]))
+            assert t._items == []
+            return
         t.add_messages(1, "level:0", "quad", np.array(users), np.array([0, 1]))
         with pytest.raises(MalformedInputError):
             t.validate(max_rounds=2)
@@ -985,6 +1029,30 @@ class TestStreamedLoad:
         assert_same_items(loaded, transcript)
         assert peak - kept < size / 4, (peak - kept, size)
 
+    def test_load_joins_a_block_a_column_at_a_time(self, tmp_path, monkeypatch):
+        # a block read across windows is joined from its parsed pieces, which
+        # hold the block's bytes; filling one column at a time, each piece
+        # dropped once copied, adds half of it (the column being filled),
+        # where joining both columns beside all the pieces added it whole:
+        # 3.1 MiB beyond what the transcript keeps here, for a 2 MiB block
+        config = make_config("kv2", n=2 ** 18, k1=2 ** 14)
+        _, transcript = run_once("kv2", config)
+        path = tmp_path / "t.jsonl"
+        transcript.dump(path)
+        _, _, tag, _, users, values = transcript._items[-1]
+        assert (tag, users.size) == ("refine", 2 ** 17)
+        monkeypatch.setattr(protocols, "_WINDOW", 1 << 16)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            loaded = Transcript.load(path, "kv2", config.n)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_same_items(loaded, transcript)
+        block = users.nbytes + values.nbytes
+        assert peak - kept < 1.25 * block, (peak - kept, block)
+
 
 # Integers either side of each 4-digit group boundary the writer spells, up
 # to the 15 digits a transcript reader accepts.
@@ -1001,7 +1069,8 @@ def hand_built_transcripts(draw):
         st.integers(-(10 ** 15) + 1, 10 ** 15 - 1),
     )
     reals = st.one_of(st.sampled_from(SPECIAL_REALS), st.floats())
-    int_dtypes = st.sampled_from([np.int64, np.int32, np.uint64, np.float64])
+    int_dtypes = st.sampled_from([np.int64, np.int32, np.uint64])
+    rounds = st.one_of(st.integers(0, 12), st.integers(0, 12).map(np.int64))
 
     def with_int_dtype(array):
         dtype = draw(int_dtypes)  # unsigned only for magnitudes, as a reader reads them back
@@ -1010,7 +1079,8 @@ def hand_built_transcripts(draw):
     transcript = Transcript("kv2", 16)
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.integers(0, 4)) == 0:
-            transcript.add_broadcast(draw(st.integers(1, 2)), {"mu_hat1": draw(st.floats(-1e9, 1e9))})
+            value = draw(st.one_of(st.floats(-1e9, 1e9), st.integers(-10 ** 9, 10 ** 9)))
+            transcript.add_broadcast(draw(rounds), {"mu_hat1": value})
             continue
         kind = draw(st.sampled_from(["quad", "sign", "real"]))
         size = draw(st.integers(0, 9))
@@ -1021,8 +1091,71 @@ def hand_built_transcripts(draw):
             values = with_int_dtype(
                 np.array(draw(st.lists(ints, min_size=size, max_size=size)), dtype=np.int64))
         tag = draw(st.sampled_from(["level:1", "refine", 'a "quoted"\\tag\t\u00e9\x00', ""]))
-        transcript.add_messages(draw(st.integers(0, 12)), tag, kind, with_int_dtype(users), values)
+        transcript.add_messages(draw(rounds), tag, kind, with_int_dtype(users), values)
     return transcript
+
+
+# a float64 would round them: x86's 80-bit long double, say
+WIDE_REALS = ["wide reals"] if np.dtype(np.longdouble).itemsize > 8 else []
+
+
+@st.composite
+def refused_blocks(draw):
+    """(kind, users, values) that a transcript line cannot spell, with one
+    fault: float users; float quad or sign values, fractional or not;
+    integer reals; reals wider than float64, where numpy has them; an
+    integer of 16 digits or more; a uint64 of 2^63 or more; an object or
+    string array; or a 2-D array."""
+    size = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["quad", "sign", "real"]))
+    users, values = np.arange(size), np.ones(size, np.float64 if kind == "real" else np.int64)
+    on_values = kind != "real" and draw(st.booleans())  # an integer fault's array
+    at = draw(st.integers(0, size - 1))
+    fault = draw(st.sampled_from(["float users", "float values", "integer reals", "16 digits",
+                                  "uint64", "object or string", "2-D"] + WIDE_REALS))
+    if fault == "float users":
+        users = users.astype(draw(st.sampled_from([np.float64, np.float32])))
+    elif fault == "float values":
+        kind = draw(st.sampled_from(["quad", "sign"]))
+        values = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.5, -0.5]),
+                                        min_size=size, max_size=size)))
+    elif fault == "integer reals":
+        kind, values = "real", values.astype(draw(st.sampled_from([np.int64, np.int32, np.uint8])))
+    elif fault == "wide reals":
+        kind, values = "real", np.full(size, 0.1, np.longdouble)
+    elif fault in ("16 digits", "uint64"):
+        wrong = users if not on_values else values
+        if fault == "uint64":
+            wrong = wrong.astype(np.uint64)
+            wrong[at] = draw(st.integers(2 ** 63, 2 ** 64 - 1))
+        else:
+            wrong[at] = draw(st.sampled_from([1, -1])) * draw(st.integers(10 ** 15, 2 ** 63 - 1))
+        users, values = (users, wrong) if on_values else (wrong, values)
+    elif fault == "object or string":
+        dtype = draw(st.sampled_from([object, str]))
+        users, values = (users, values.astype(dtype)) if on_values else (users.astype(dtype), values)
+    else:
+        shape = draw(st.sampled_from([(1, size), (size, 1)]))
+        if draw(st.booleans()):
+            users = users.reshape(shape)
+        if users.ndim == 1 or draw(st.booleans()):
+            values = values.reshape(shape)
+    return kind, users, values
+
+
+def as_read_back(transcript):
+    """A copy of `transcript` with the items its lines spell: a message block
+    without users writes no line, and consecutive blocks of one round,
+    subgroup and kind write one run of lines, which reads back as one block."""
+    items = []
+    for item in transcript._items:
+        if item[0] == "messages" and items and items[-1][:4] == item[:4]:
+            items[-1] = item[:4] + tuple(map(np.concatenate, zip(items[-1][4:], item[4:])))
+        elif item[0] == "broadcast" or item[4].size:
+            items.append(item)
+    copy = Transcript(transcript.protocol, transcript.n)
+    copy._items, copy.outcome = items, transcript.outcome
+    return copy
 
 
 def assert_same_text(got: str, want: str) -> None:
@@ -1060,11 +1193,19 @@ class TestMessageLines:
         int32 = np.array([0, 9, 10, 9999, 10 ** 4, 99999999, 10 ** 8, 2 ** 31 - 1], np.int32)
         transcript.add_messages(1, "level:0", "sign", int32, -int32 - 1)
         transcript.add_messages(1, "level:0", "sign", np.array([], np.int64), np.array([], np.int64))
-        uints = np.array([0, 10 ** 4, 2 ** 63, 2 ** 64 - 1], np.uint64)
+        # unsigned integers of up to 15 digits are held; 2^63 and above, and
+        # float-dtype users or quad values, are refused as they are added
+        uints = np.array([0, 10 ** 4, 10 ** 15 - 1, 7], np.uint64)
         transcript.add_messages(1, "level:0", "sign", uints, np.array([3, 0, 1, 2], np.uint8))
-        # float-dtype integer blocks are spelled as int() spells them
-        floats = np.array([10.0, 9999.0, 1e15 - 1, 5.0, 7.0, 8.0])
-        transcript.add_messages(1, "level:1", "quad", floats, np.array([2.0, -3.0, 2.5, -0.5, -2.5, 1e300]))
+        items = list(transcript._items)
+        for users, values in (
+            (np.array([0, 10 ** 4, 2 ** 63, 2 ** 64 - 1], np.uint64), np.array([3, 0, 1, 2], np.uint8)),
+            (np.array([10.0, 9999.0, 1e15 - 1, 5.0, 7.0, 8.0]), np.arange(6)),
+            (np.arange(6), np.array([2.0, -3.0, 2.5, -0.5, -2.5, 1e300])),
+        ):
+            with pytest.raises(MalformedInputError, match="integers of at most 15 digits"):
+                transcript.add_messages(1, "level:1", "quad", users, values)
+            assert transcript._items == items
         transcript.add_messages(1, 'tab\t "quote" back\\slash \u00e9 \x00 \u2028', "quad", ints[:3], ints[:3])
         transcript.add_broadcast(2, {"interval_lo": -1.5, "interval_hi": 2.5})
         reals = np.array(SPECIAL_REALS)
@@ -1085,8 +1226,23 @@ class TestMessageLines:
         text = template_dumps(transcript)
         assert transcript.dumps() == text
         assert Transcript.loads(text, "kv2", 16).dumps() == text
+        # what add_* accepts a line spells, and reads back with its dtypes and bits
+        assert_same_items(Transcript.loads(text, "kv2", 16), as_read_back(transcript))
         with pytest.MonkeyPatch.context() as patch:  # slices and windows that cut through runs
             patch.setattr(protocols, "_SLICE", lines)
             patch.setattr(protocols, "_WINDOW", window)
             assert transcript.dumps() == text
             assert Transcript.loads(text, "kv2", 16).dumps() == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(transcript=hand_built_transcripts(), block=refused_blocks(), subgroups=st.integers(1, 3))
+    def test_blocks_no_line_spells_are_refused_when_added(self, transcript, block, subgroups):
+        kind, users, values = block
+        items, text = list(transcript._items), transcript.dumps()
+        with pytest.raises(MalformedInputError):
+            transcript.add_messages(1, "refine", kind, users, values)
+        with pytest.raises(MalformedInputError):  # the same block for every subgroup
+            transcript.add_blocks(1, ("a",) * subgroups, kind, np.concatenate([users] * subgroups),
+                                  np.concatenate([values] * subgroups))
+        assert transcript._items == items
+        assert transcript.dumps() == text
