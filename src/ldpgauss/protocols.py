@@ -10,20 +10,19 @@ outputs match bit for bit without samples is the executable proof that the
 analyst never needed them.
 
 Partitioning is public and deterministic: `plan_partition` lays a run out
-once, as the plan's block table of every transcript item in emission order.
-The first half of the user indices is split into per-level blocks (ascending
-level order); the second half either answers the round-two broadcast
-wholesale or is split into one-round subgroup blocks. Leftover users are
-never queried. The plan also holds each round's layout: the round's runs,
-consecutive blocks of one kind and size whose user ranges touch (the level
-blocks, the refinement subgroups, the round-two block), each with one array
-per block parameter, and the item heads and shapes the table expects. All
-of it is per block, none of it per user. A run is privatized in chunks of up
-to 2^14 users, each with one draw of uniforms and one kernel call whose
-per-user parameters are gathered from the run's columns, and enters the
-transcript in one call, still stored a block at a time. The analyst's gate
-requires a transcript to equal the table block for block, checking a round
-with a few list comparisons and whole-run array operations, and the level
+once, as the plan's block table of every message block and broadcast in
+emission order. The first half of the user indices is split into per-level
+blocks (ascending level order); the second half either answers the
+round-two broadcast wholesale or is split into one-round subgroup blocks.
+Leftover users are never queried. The plan also holds the table's runs:
+consecutive blocks of one round and kind (the level blocks, the refinement
+subgroups, the round-two block), each with one array per block parameter
+and the head of the transcript item it becomes. All of it is per block, none
+of it per user. A run is privatized in chunks of up to 2^14 users, each
+with one draw of uniforms and one kernel call whose per-user parameters are
+gathered from the run's columns, and enters the transcript as one item. The
+analyst's gate requires a transcript to equal the runs item for item, with
+one head comparison and whole-run array operations per run, and the level
 histograms are counted, debiased and paired as one (levels, 4) matrix.
 """
 
@@ -201,35 +200,24 @@ class Block(NamedTuple):
 class Run(NamedTuple):
     """Consecutive blocks of one round and kind, `count` users each, whose
     user ranges touch: block i holds users start + i count onwards and has
-    tag tags[i] and position first + i in the block table. `params` holds
-    one array per randomizer parameter and `reach` the bound on real
-    reports, each with one entry per block. A broadcast is a run of its own."""
+    tag tags[i]. `params` holds one array per randomizer parameter and
+    `reach` the bound on real reports, each with one entry per block. A
+    transcript holds the run as one item, which starts with `head`:
+    ("messages", round, kind, ((tag, count), ...)). A broadcast is a run of
+    its own, with head ("broadcast", round)."""
 
+    round: int
     kind: str
-    first: int
     start: int
     count: int
     tags: tuple
     params: tuple
     reach: np.ndarray
+    head: tuple
 
     @property
     def stop(self) -> int:
         return self.start + self.count * len(self.tags)
-
-
-class RoundLayout(NamedTuple):
-    """One round of a plan: its runs in table order, and what the gate
-    expects of a transcript's items through the round. An item's head is
-    ("messages", round, tag, kind) or ("broadcast", round); `messages` tells
-    for each item whether it holds messages, `broadcasts` are the positions
-    of the others, and `shapes` the users' shape of each message item."""
-
-    runs: Tuple[Run, ...]
-    heads: list
-    messages: list
-    broadcasts: tuple
-    shapes: list
 
 
 @dataclass(frozen=True)
@@ -248,10 +236,11 @@ class PartitionPlan:
     sigma: Optional[float] = None  # known-variance modes only
     # one-round subgroup keys in block order: ints (kv1) or (level, m) pairs
     group_keys: tuple = ()
-    # every transcript item a run emits, in order; built by plan_partition
+    # every message block and broadcast a run emits, in order; built by
+    # plan_partition
     blocks: Tuple[Block, ...] = ()
-    # one RoundLayout per round, from the blocks; built by plan_partition
-    layouts: Tuple[RoundLayout, ...] = field(default=(), compare=False, repr=False)
+    # the blocks as runs, in order; built by plan_partition
+    runs: Tuple[Run, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def levels(self) -> range:
@@ -390,8 +379,7 @@ def _public_plan(config: ProtocolConfig, protocol: str) -> PartitionPlan:
         u2_start=half, k2=k2, rho=rho, sigma=sigma, group_keys=group_keys,
     )
     blocks = _block_table(plan)
-    layouts = tuple(_round_layout(blocks, round_no) for round_no in range(1, plan.rounds + 1))
-    return replace(plan, blocks=blocks, layouts=layouts)
+    return replace(plan, blocks=blocks, runs=_runs(blocks))
 
 
 # the cache is cleared through the name callers plan with
@@ -399,9 +387,9 @@ plan_partition.cache_clear = _public_plan.cache_clear
 
 
 def _block_table(plan: PartitionPlan) -> Tuple[Block, ...]:
-    """Every transcript item a run of `plan` emits, in order: the level
-    blocks, then either the broadcast and the second half's round-two
-    reports, or the one-round refinement subgroups."""
+    """Every message block and broadcast a run of `plan` emits, in order:
+    the level blocks, then either the broadcast and the second half's
+    round-two reports, or the one-round refinement subgroups."""
     kind = "sign" if plan.protocol in ("kv2", "kv1") else "real"
     blocks = [
         Block(1, f"level:{j}", "quad", i * plan.k1, plan.k1, key=j, params=(j,))
@@ -423,38 +411,17 @@ def _block_table(plan: PartitionPlan) -> Tuple[Block, ...]:
     return tuple(blocks)
 
 
-def _round_layout(blocks: Tuple[Block, ...], round_no: int) -> RoundLayout:
-    """Round `round_no` of a block table as runs, with the heads and shapes
-    of the table's items through the round."""
-    groups: List[Tuple[int, List[Block]]] = []  # (first position, blocks) of each run
-    for position, block in enumerate(blocks):
-        if block.round != round_no:
-            continue
-        last = groups[-1][1][-1] if groups else None
-        if last is not None and (
-            block.kind == last.kind != "broadcast"
-            and block.count == last.count
-            and block.start == last.start + last.count
-        ):
-            groups[-1][1].append(block)
-        else:
-            groups.append((position, [block]))
-    runs = tuple(
-        Run(run[0].kind, first, run[0].start, run[0].count, tuple(b.tag for b in run),
-            tuple(map(np.array, zip(*(b.params for b in run)))), np.array([b.reach for b in run]))
-        for first, run in groups
-    )
-    through = [block for block in blocks if block.round <= round_no]
-    return RoundLayout(
-        runs=runs,
-        heads=[
-            ("broadcast", block.round) if block.kind == "broadcast"
-            else ("messages", block.round, block.tag, block.kind)
-            for block in through
-        ],
-        messages=[block.kind != "broadcast" for block in through],
-        broadcasts=tuple(i for i, block in enumerate(through) if block.kind == "broadcast"),
-        shapes=[(block.count,) for block in through if block.kind != "broadcast"],
+def _runs(blocks: Tuple[Block, ...]) -> Tuple[Run, ...]:
+    """A block table as runs: consecutive blocks of one round and kind, as
+    a transcript holds them. The table gives a run's blocks one size and
+    touching user ranges."""
+    runs = [list(run) for _, run in itertools.groupby(blocks, operator.attrgetter("round", "kind"))]
+    return tuple(
+        Run(run[0].round, run[0].kind, run[0].start, run[0].count, tuple(b.tag for b in run),
+            tuple(map(np.array, zip(*(b.params for b in run)))), np.array([b.reach for b in run]),
+            ("broadcast", run[0].round) if run[0].kind == "broadcast"
+            else ("messages", run[0].round, run[0].kind, tuple((b.tag, b.count) for b in run)))
+        for run in runs
     )
 
 
@@ -563,42 +530,40 @@ def _int_field(x: np.ndarray) -> np.ndarray:
     return field.view(np.uint8)
 
 
-def _message_lines(round_no: int, kind: str, blocks: List[tuple]) -> bytes:
-    """The message lines of `blocks`, (subgroup, users, values) triples of
-    one round and kind with int64 users and int64 or float64 values, as the
-    transcript spells them. Each line is a row of a uint8 matrix: its
-    block's template row (head, NULs for the user, middle NUL-padded to the
-    widest, NULs for the value, and "}\n") with the user's and the value's
-    NUL-padded spellings written in. Dropping the NULs leaves the lines; no
-    line holds a NUL of its own, because json.dumps escapes control
-    characters."""
-    users = np.concatenate([block[1] for block in blocks])
-    values = np.concatenate([block[2] for block in blocks])
+def _message_lines(round_no: int, kind: str, blocks, users: np.ndarray, values: np.ndarray) -> bytes:
+    """The message lines of `blocks`, (subgroup, size) pairs of one round
+    and kind that split int64 `users` and int64 or float64 `values` in
+    order, as the transcript spells them. Each line is a row of a uint8
+    matrix: its block's template row (head, NULs for the user, middle
+    NUL-padded to the widest, NULs for the value, and "}\n") with the user's
+    and the value's NUL-padded spellings written in. Dropping the NULs
+    leaves the lines; no line holds a NUL of its own, because json.dumps
+    escapes control characters."""
     user_field = _int_field(users)
     if kind in _INT_KINDS:
         value_field = _int_field(values)
     else:  # a fixed width converts faster than one numpy must find
         value_field = _text_field(_spell_floats(values), _FLOAT_WIDTH)
     head = '{"round":' + json.dumps(round_no) + ',"user":'
-    middles = [f',"subgroup":{json.dumps(tag)},"kind":{json.dumps(kind)},"value":' for tag, _, _ in blocks]
+    middles = [f',"subgroup":{json.dumps(tag)},"kind":{json.dumps(kind)},"value":' for tag, _ in blocks]
     width = max(map(len, middles))
     templates = _text_field([
         head + "\0" * user_field.shape[1] + middle.ljust(width, "\0")
         + "\0" * value_field.shape[1] + "}\n"
         for middle in middles
     ])
-    lines = np.repeat(templates, [block[1].shape[0] for block in blocks], axis=0)
+    lines = np.repeat(templates, [size for _, size in blocks], axis=0)
     lines[:, len(head):len(head) + user_field.shape[1]] = user_field
     lines[:, -2 - value_field.shape[1]:-2] = value_field
     return lines[lines != 0].tobytes()
 
 
-def _run_key(item: tuple):
-    """What message items of one run share: round and kind; None for a
-    broadcast."""
-    if item[0] == "broadcast":
-        return None
-    return item[1], item[3]
+def _split(item: tuple):
+    """A message item's blocks: (subgroup, users, values) each."""
+    lo = 0
+    for tag, size in item[3]:
+        yield tag, item[4][lo:lo + size], item[5][lo:lo + size]
+        lo += size
 
 
 def _held(array, kinds: str) -> np.ndarray:
@@ -627,7 +592,7 @@ def _malformed(line: int, why: str) -> MalformedInputError:
 def _read_run(text: str, pos: int, cut: int, line: int):
     """The message lines from `pos` (line `line` of the transcript) that
     share the first one's round, subgroup and kind, up to `cut`: ((round,
-    subgroup, kind), users, values, end), or None when the line at `pos` is
+    kind), subgroup, users, values, end), or None when the line at `pos` is
     not a message line as written. Real values only have their characters
     checked here."""
     first = _MESSAGE_HEAD.match(text, pos, cut)
@@ -651,21 +616,25 @@ def _read_run(text: str, pos: int, cut: int, line: int):
         numbers = np.fromstring(body, dtype=np.int64 if integral else np.float64, sep=middle)
     except ValueError:
         raise _malformed(line, _MISSPELLED) from None
-    return (int(first[2]), subgroup, kind), numbers[0::2].astype(np.int64), numbers[1::2], end
+    return (int(first[2]), kind), subgroup, numbers[0::2].astype(np.int64), numbers[1::2], end
 
 
 class Transcript:
     """Ordered record of every privatized message and analyst broadcast.
 
-    Messages are stored columnar per emission block and serialize as one
-    JSON line per message, in causal order, formatted a run of blocks at a
-    time. Floats serialize with shortest-roundtrip formatting, so files are
-    byte-stable: ASCII with LF line ends, written in binary mode.
+    Messages are stored columnar, one item per maximal run of message blocks
+    of one round and kind, in the form their lines read back as; they
+    serialize as one JSON line per message, in causal order, formatted up to
+    _SLICE lines at a time. Floats serialize with shortest-roundtrip
+    formatting, so files are byte-stable: ASCII with LF line ends, written in
+    binary mode. A transcript's lines read back as the same items.
     """
 
     def __init__(self, protocol: str, n: int):
         self.protocol = protocol
         self.n = n
+        # ("messages", round, kind, ((subgroup, size), ...), users, values)
+        # or ("broadcast", round, payload)
         self._items: List[tuple] = []
         self.outcome: Optional[EstimateOutcome] = None
 
@@ -676,18 +645,35 @@ class Transcript:
         """Consecutive message blocks of equal size, one per subgroup: the
         users and values split evenly among them, in order, each held as its
         lines spell it (`_held`): the round, users, and quad and sign values
-        integers, any other kind's values floats. MalformedInputError, adding
-        nothing, for anything else."""
+        integers, any other kind's values floats, and the subgroups and kind
+        strings. MalformedInputError, adding nothing, for anything else."""
+        if not subgroups or not all(isinstance(tag, str) for tag in (kind, *subgroups)):
+            raise MalformedInputError(f"expected string subgroups and kind, got {subgroups!r} and {kind!r}")
         round_no = int(_held(round_no, "iu"))
         users = _held(users, "iu")
         values = _held(values, "iu" if kind in _INT_KINDS else "f")
         if users.ndim != 1 or users.shape != values.shape or users.size % len(subgroups):
             raise MalformedInputError("users and values must align and split evenly")
-        rows = (len(subgroups), -1)
-        self._items.extend(zip(
-            itertools.repeat("messages"), itertools.repeat(round_no), subgroups,
-            itertools.repeat(kind), users.reshape(rows), values.reshape(rows),
-        ))
+        size = users.size // len(subgroups)
+        self._add_run(round_no, kind, [(tag, size) for tag in subgroups], users, values)
+
+    def _add_run(self, round_no: int, kind: str, blocks, users: np.ndarray, values: np.ndarray) -> None:
+        """Message blocks, (subgroup, size) pairs that split `users` and
+        `values` in order, held as their lines read back: joined to a
+        preceding item of the same round and kind, blocks without users
+        dropped, and adjacent blocks of one subgroup merged."""
+        if self._items and self._items[-1][:3] == ("messages", round_no, kind):
+            _, _, _, before, *held = self._items.pop()
+            blocks = [*before, *blocks]
+            users, values = (np.concatenate(pair) for pair in zip(held, (users, values)))
+        merged: List[tuple] = []
+        for tag, size in blocks:
+            if merged and merged[-1][0] == tag:
+                merged[-1] = (tag, merged[-1][1] + size)
+            elif size:
+                merged.append((tag, size))
+        if merged:
+            self._items.append(("messages", round_no, kind, tuple(merged), users, values))
 
     def add_broadcast(self, round_no: int, payload: dict) -> None:
         """The broadcast opening round `round_no`, held as its line spells it:
@@ -706,8 +692,8 @@ class Transcript:
         return {item[1] for item in self._items if item[0] == "messages"}
 
     def user_ids(self) -> np.ndarray:
-        blocks = [item[4] for item in self._items if item[0] == "messages"]
-        return np.concatenate(blocks) if blocks else np.array([], dtype=np.int64)
+        runs = [item[4] for item in self._items if item[0] == "messages"]
+        return np.concatenate(runs) if runs else np.array([], dtype=np.int64)
 
     def broadcasts(self) -> List[Tuple[int, dict]]:
         return [(item[1], item[2]) for item in self._items if item[0] == "broadcast"]
@@ -717,7 +703,8 @@ class Transcript:
         grouped: Dict[str, List[tuple]] = {}
         for item in self._items:
             if item[0] == "messages":
-                grouped.setdefault(item[2], []).append(item[4:])
+                for tag, *arrays in _split(item):
+                    grouped.setdefault(tag, []).append(arrays)
         return {tag: tuple(map(np.concatenate, zip(*blocks))) for tag, blocks in grouped.items()}
 
     def validate(self, max_rounds: int) -> None:
@@ -733,25 +720,21 @@ class Transcript:
 
     def _pieces(self):
         """The serialized bytes in pieces: one line per broadcast and for the
-        outcome, and the message lines of each run of consecutive message
-        blocks that share round and kind, _SLICE lines at a time."""
-        for key, run in itertools.groupby(self._items, _run_key):
-            if key is None:
-                for item in run:
-                    yield _json_line({"round": item[1], "broadcast": item[2]}).encode()
+        outcome, and the message lines of each item, _SLICE lines at a time."""
+        for item in self._items:
+            if item[0] == "broadcast":
+                yield _json_line({"round": item[1], "broadcast": item[2]}).encode()
                 continue
-            batch, lines = [], 0  # (subgroup, users, values) parts of one slice
-            for _, _, subgroup, _, users, values in run:
-                lo = 0
-                while lo < users.shape[0]:
-                    hi = min(lo + _SLICE - lines, users.shape[0])
-                    batch.append((subgroup, users[lo:hi], values[lo:hi]))
-                    lines, lo = lines + hi - lo, hi
-                    if lines == _SLICE:
-                        yield _message_lines(key[0], key[1], batch)
-                        batch, lines = [], 0
-            if batch:
-                yield _message_lines(key[0], key[1], batch)
+            _, round_no, kind, blocks, users, values = item
+            batch, lo, hi = [], 0, 0  # the (subgroup, size) pairs of lines lo..hi
+            for tag, size in blocks:
+                while size:
+                    part = min(size, lo + _SLICE - hi)
+                    batch.append((tag, part))
+                    hi, size = hi + part, size - part
+                    if hi - lo == _SLICE or hi == users.shape[0]:
+                        yield _message_lines(round_no, kind, batch, users[lo:hi], values[lo:hi])
+                        batch, lo = [], hi
         if self.outcome is not None:
             yield _json_line({"outcome": self.outcome.as_dict()}).encode()
 
@@ -790,15 +773,17 @@ class Transcript:
         Any other line is a broadcast or an outcome: read as JSON, rebuilt
         with the writer's types (`_as_written`), and spelled as the writer
         spells that. An outcome, if any, is the last line, and every line
-        ends in a newline. Raises MalformedInputError, naming the line, for
-        anything else."""
+        ends in a newline. Consecutive message lines of one round and kind
+        are added as one run. Raises MalformedInputError, naming the line,
+        for anything else."""
         transcript = cls(protocol, n)
         lines = outcome_line = 0  # lines parsed so far; the outcome's line
-        pending: Optional[list] = None  # [round, subgroup, kind, user arrays, value arrays]
+        # [round, kind, (subgroup, size) pairs, user arrays, value arrays]
+        pending: Optional[list] = None
         # runs of real values read from window position `unchecked_from`
         # (line `unchecked_line`) on, all of round and kind `unchecked_key`:
-        # (subgroup, users, values)
-        unchecked, unchecked_from, unchecked_line, unchecked_key, unchecked_lines = [], 0, 0, None, 0
+        # ((subgroup, size), users, values)
+        unchecked, unchecked_from, unchecked_line, unchecked_key = [], 0, 0, None
 
         def flush() -> None:
             if pending is not None:  # a column at a time, each piece dropped once copied
@@ -807,18 +792,18 @@ class Transcript:
                     while pieces:
                         piece = pieces.pop()
                         pending[column][end - len(piece):end], end = piece, end - len(piece)
-                transcript.add_messages(*pending)
+                transcript._add_run(*pending)
 
         def check_spelling(upto: int) -> None:
             """Real values must be spelled as written: the unchecked runs'
             text must be what _message_lines writes for their users and
-            values, which it formats a run of blocks at a time."""
-            nonlocal unchecked_lines
+            values."""
             if unchecked:
-                if _message_lines(*unchecked_key, unchecked) != text[unchecked_from:upto].encode():
+                blocks, users, values = zip(*unchecked)
+                spelled = _message_lines(*unchecked_key, blocks, np.concatenate(users), np.concatenate(values))
+                if spelled != text[unchecked_from:upto].encode():
                     raise _malformed(unchecked_line, _MISSPELLED)
                 unchecked.clear()
-            unchecked_lines = 0
 
         # the partial line after the last newline, in the pieces it was read
         # in, so that a long line is joined once
@@ -843,21 +828,18 @@ class Transcript:
                     raise _malformed(outcome_line, "a line follows the outcome")
                 run = _read_run(text, pos, cut, lines + 1)
                 if run is not None:
-                    key, users, values, end = run
-                    round_no, subgroup, kind = key
-                    if unchecked and (unchecked_key != (round_no, kind) or unchecked_lines >= _SLICE):
+                    key, subgroup, users, values, end = run
+                    if unchecked and unchecked_key != key:
                         check_spelling(pos)
-                    if kind not in _INT_KINDS:
+                    if key[1] not in _INT_KINDS:
                         if not unchecked:
-                            unchecked_from, unchecked_line, unchecked_key = pos, lines + 1, (round_no, kind)
-                        unchecked.append((subgroup, users, values))
-                        unchecked_lines += users.size
-                    if pending is not None and tuple(pending[:3]) == key:
-                        pending[3].append(users)
-                        pending[4].append(values)
-                    else:
+                            unchecked_from, unchecked_line, unchecked_key = pos, lines + 1, key
+                        unchecked.append(((subgroup, users.size), users, values))
+                    if pending is None or tuple(pending[:2]) != key:
                         flush()
-                        pending = [*key, [users], [values]]
+                        pending = [*key, [], [], []]
+                    for column, part in zip(pending[2:], ((subgroup, users.size), users, values)):
+                        column.append(part)
                     lines += users.size
                     pos = end
                     continue
@@ -890,85 +872,77 @@ class Transcript:
 # transcript. Live runs call it on the transcript their users write, and
 # replay calls it on a recorded one.
 
-_HEAD = operator.itemgetter(slice(4))
-_USERS = operator.itemgetter(4)
-_VALUES = operator.itemgetter(5)
-_SHAPE = operator.attrgetter("shape")
-
-
-def _reported(run: Run, blocks: List[np.ndarray]) -> Optional[np.ndarray]:
-    """The run's values joined in block order, or None unless a randomizer
-    of the run's kind can report every one of them; the run's `reach` bounds
-    each block's real values in magnitude."""
-    values = np.concatenate(blocks)
+def _reported(run: Run, values: np.ndarray) -> bool:
+    """Whether a randomizer of the run's kind can report every one of its
+    values; the run's `reach` bounds each block's real values in magnitude."""
     if run.kind == "real":
-        peaks = np.abs(values).reshape(len(blocks), run.count).max(axis=1)
-        ok = np.all(peaks < run.reach)
-    elif run.kind == "quad":
-        ok = values.min() >= 0 and values.max() <= 3
-    else:
-        ok = values.min() >= -1 and values.max() <= 1 and np.count_nonzero(values) == values.size
-    return values if ok else None
+        return np.all(np.abs(values).reshape(len(run.tags), run.count).max(axis=1) < run.reach)
+    if run.kind == "quad":
+        return values.min() >= 0 and values.max() <= 3
+    return values.min() >= -1 and values.max() <= 1 and np.count_nonzero(values) == values.size
 
 
 def _not_planned(plan: PartitionPlan, index: int) -> MalformedInputError:
     return MalformedInputError(f"transcript block {index} is not the planned {plan.blocks[index]}")
 
 
-def _first_unplanned(plan: PartitionPlan, layout: RoundLayout, items: List[tuple]) -> MalformedInputError:
-    """The error naming the first of `items` that is not its planned block:
-    one whose head, or whose users' shape, is not the layout's."""
-    shapes = iter(layout.shapes)
-    for index, (head, item) in enumerate(zip(layout.heads, items)):
-        if item[:len(head)] != head or head[0] == "messages" and item[4].shape != next(shapes):
+def _first_unplanned(plan: PartitionPlan, items: List[tuple], round_no: int) -> MalformedInputError:
+    """The error naming what a scan of `items`, block by block, finds first
+    against the block table through round `round_no`: a count of blocks
+    off the table's; else the first block whose head, or whose users'
+    shape, is not its planned block's; else the first block of the round
+    that does not hold its planned users."""
+    got = []  # (round, tag, kind, users) of each block, as the table spells them
+    for item in items:
+        if item[0] == "broadcast":
+            got.append((item[1], "broadcast", "broadcast", np.empty(0, np.int64)))
+        else:
+            got.extend((item[1], tag, item[2], users) for tag, users, _ in _split(item))
+    planned = [block for block in plan.blocks if block.round <= round_no]
+    if len(got) < len(planned) or (round_no == plan.rounds and len(got) > len(planned)):
+        return MalformedInputError(
+            f"transcript holds {len(got)} blocks, expected {len(planned)} through round {round_no}"
+        )
+    for index, (block, (*head, users)) in enumerate(zip(planned, got)):
+        if tuple(head) != block[:3] or users.shape != (block.count,):
             return _not_planned(plan, index)
-    raise AssertionError("every item is its planned block")
+    for index, (block, (*_, users)) in enumerate(zip(planned, got)):
+        if block.round == round_no and (users != np.arange(block.start, block.start + block.count)).any():
+            return _not_planned(plan, index)
+    raise AssertionError("every block is its planned block")
 
 
 def _gate(plan: PartitionPlan, transcript: Transcript, round_no: int) -> Dict[str, np.ndarray]:
     """One round's reports, checked against the plan: kind -> the values of
-    the round's blocks of that kind, joined in table order (a round holds
-    one run of each kind it reports).
+    the round's run of that kind (a round holds one run of each kind it
+    reports), the transcript's own array.
 
     Raises MalformedInputError unless the transcript's items through this
-    round equal the plan's block table, block for block, and at the last
-    round no item follows: each broadcast sits where the table puts it, and
-    each message block has its planned round, tag, kind and length. This
-    round's blocks must hold exactly their planned ranges of users (the
+    round equal the plan's runs, item for item, and at the last round no
+    item follows: each broadcast sits where the plan puts it, and each
+    message item has its run's round, kind, tags and block sizes. This
+    round's items must hold exactly their planned ranges of users (the
     analyst gates the rounds in order, so earlier rounds' were checked
     before). Planned ranges are disjoint and lie in [0, n), so no user
     reports twice, outside their own subgroup, or at all if discarded. Every
     value of this round must also be one its randomizer can report: quad
     values in {0,1,2,3}, sign values in {-1,+1}, real values finite (and
     within the randomizer's reach in uv1). Errors name the first block at
-    fault, as a scan block by block would.
+    fault, as a scan block by block would (`_first_unplanned`).
     """
-    layout = plan.layouts[round_no - 1]
+    runs = [run for run in plan.runs if run.round <= round_no]
     items = transcript._items
-    planned = len(layout.heads)
-    if len(items) < planned or (round_no == plan.rounds and len(items) > planned):
-        raise MalformedInputError(
-            f"transcript holds {len(items)} blocks, expected {planned} through round {round_no}"
-        )
-    items = items[:planned]
-    heads = list(map(_HEAD, items))
-    for i in layout.broadcasts:
-        heads[i] = heads[i][:2]
-    if heads != layout.heads:
-        raise _first_unplanned(plan, layout, items)
-    if list(map(_SHAPE, map(_USERS, itertools.compress(items, layout.messages)))) != layout.shapes:
-        raise _first_unplanned(plan, layout, items)
-    runs = [(run, items[run.first:run.first + len(run.tags)])
-            for run in layout.runs if run.kind != "broadcast"]
-    for run, blocks in runs:
-        wrong = np.concatenate(list(map(_USERS, blocks))) != np.arange(run.start, run.stop)
-        if wrong.any():
-            raise _not_planned(plan, run.first + int(np.argmax(wrong)) // run.count)
+    if len(items) < len(runs) or (round_no == plan.rounds and len(items) > len(runs)) or any(
+        item[:len(run.head)] != run.head or run.round == round_no and run.kind != "broadcast"
+        and (item[4] != np.arange(run.start, run.stop)).any() for run, item in zip(runs, items)
+    ):
+        raise _first_unplanned(plan, items, round_no)
     reports = {}
-    for run, blocks in runs:
-        reports[run.kind] = _reported(run, list(map(_VALUES, blocks)))
-        if reports[run.kind] is None:
-            raise MalformedInputError(f"round {round_no} holds a {run.kind} value no randomizer reports")
+    for run, item in zip(runs, items):
+        if run.round == round_no and run.kind != "broadcast":
+            if not _reported(run, item[5]):
+                raise MalformedInputError(f"round {round_no} holds a {run.kind} value no randomizer reports")
+            reports[run.kind] = item[5]
     return reports
 
 
@@ -1070,8 +1044,10 @@ def _run(protocol: str, config: ProtocolConfig, samples, streams: TrialStreams):
         """One round, a run at a time: the broadcast that opens it, then each
         run's users privatize their samples, _CHUNK users per draw and
         kernel call, each user with the parameters of their block, and the
-        run's blocks enter the transcript in one call."""
-        for run in plan.layouts[round_no - 1].runs:
+        run enters the transcript in one call."""
+        for run in plan.runs:
+            if run.round != round_no:
+                continue
             if run.kind == "broadcast":
                 transcript.add_broadcast(round_no, broadcast)
                 continue

@@ -490,8 +490,23 @@ def est_var_by_rows(beta: float, eps: float, hists: Dict[int, np.ndarray], k: in
 # Reference transcript writers: one json.dumps call per line, or a template
 # per message block.
 
-def iter_lines(transcript):
+def transcript_blocks(transcript):
+    """A transcript's items with each message item expanded into its blocks:
+    broadcasts as they are, and ("messages", round, subgroup, kind, users,
+    values) for each block."""
     for item in transcript._items:
+        if item[0] == "broadcast":
+            yield item
+            continue
+        _, round_no, kind, blocks, users, values = item
+        lo = 0
+        for subgroup, size in blocks:
+            yield "messages", round_no, subgroup, kind, users[lo:lo + size], values[lo:lo + size]
+            lo += size
+
+
+def iter_lines(transcript):
+    for item in transcript_blocks(transcript):
         if item[0] == "broadcast":
             yield {"round": item[1], "broadcast": item[2]}
         else:
@@ -533,7 +548,7 @@ def template_dumps(transcript) -> str:
     [head, user, middle, value, "}\n"], integers spelled by str (of int()
     for other dtypes) and floats by repr."""
     pieces = []
-    for item in transcript._items:
+    for item in transcript_blocks(transcript):
         if item[0] == "broadcast":
             pieces.append(json.dumps({"round": item[1], "broadcast": item[2]}, separators=(",", ":")) + "\n")
             continue

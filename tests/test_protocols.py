@@ -36,6 +36,7 @@ from oracles import (
     sample_gaussian,
     stream,
     template_dumps,
+    transcript_blocks,
 )
 
 
@@ -51,9 +52,9 @@ def make_config(protocol, n=2 ** 14, eps=1.0, mu=10.0, sigma=1.0, seed=3, **kwar
 
 
 def assert_same_items(loaded, original):
-    """The same items in the same order: broadcasts, and message blocks with
-    the same round, tag, kind, and users and values of the same dtype and
-    bits."""
+    """The same items in the same order: broadcasts, and message runs with
+    the same round, kind and blocks, and users and values of the same dtype
+    and bits."""
     assert len(loaded._items) == len(original._items)
     for got, want in zip(loaded._items, original._items):
         if want[0] == "broadcast":
@@ -210,11 +211,11 @@ class TestPlanPartition:
         assert plan_partition(dataclasses.replace(base, n=2 ** 15), "uv1") is not plan
         assert len(built) == 2
 
-    def test_layouts_hold_per_block_arrays_only(self):
-        # no array in a round's layout grows with the number of users
+    def test_runs_hold_per_block_arrays_only(self):
+        # no array in a plan's runs grows with the number of users
         plan = plan_partition(make_config("uv1", n=2 ** 17, k1=1024, sigma=3.0), "uv1")
-        assert [len(layout.heads) for layout in plan.layouts] == [704]
-        runs = plan.layouts[0].runs
+        runs = plan.runs
+        assert [len(run.head[3]) for run in runs] == [64, 640]
         assert [(run.kind, len(run.tags), run.count) for run in runs] == [
             ("quad", 64, 1024), ("real", 640, 102)]
         for run in runs:
@@ -495,8 +496,8 @@ PLANNED_384 = (
 
 class TestRoundGate:
     """The gate and the level histograms a round at a time, on uv1's 704
-    blocks: the errors name the same block, with the same words, as a scan
-    block by block."""
+    blocks in 2 runs: the errors name the same block, with the same words,
+    as a scan block by block."""
 
     @pytest.fixture(scope="class")
     def uv1(self):
@@ -505,10 +506,18 @@ class TestRoundGate:
         return config, transcript
 
     def edited(self, uv1, index, edit):
+        # the copy's block `index` holds edit(subgroup, users, values) of
+        # the transcript's, in its run
         config, transcript = uv1
+        blocks = list(transcript_blocks(transcript))
+        _, round_no, tag, kind, users, values = blocks[index]
+        tag, users, values = edit(tag, users, values)
+        blocks[index] = ("messages", round_no, tag, kind, users, values)
         copy = Transcript("uv1", config.n)
-        copy._items = list(transcript._items)
-        copy._items[index] = edit(copy._items[index])
+        for (round_no, kind), run in itertools.groupby(blocks, lambda block: (block[1], block[3])):
+            _, _, tags, _, users, values = zip(*run)
+            copy._items.append(("messages", round_no, kind, tuple(zip(tags, map(len, users))),
+                                np.concatenate(users), np.concatenate(values)))
         copy.outcome = transcript.outcome
         return copy
 
@@ -523,12 +532,12 @@ class TestRoundGate:
         assert replay_analyst("uv1", config, transcript) == transcript.outcome
 
     @pytest.mark.parametrize("index,edit,message", [
-        (384, lambda item: item[:2] + ("lattice:0:0",) + item[3:], PLANNED_384),
-        (384, lambda item: item[:4] + (item[4][:-1], item[5][:-1]), PLANNED_384),
-        (384, lambda item: item[:4] + (item[4] + 1, item[5]), PLANNED_384),
-        (384, lambda item: item[:5] + (TestRoundGate.at(item[5], 5, 6957847019520.0),),
+        (384, lambda tag, users, values: ("lattice:0:0", users, values), PLANNED_384),
+        (384, lambda tag, users, values: (tag, users[:-1], values[:-1]), PLANNED_384),
+        (384, lambda tag, users, values: (tag, users + 1, values), PLANNED_384),
+        (384, lambda tag, users, values: (tag, users, TestRoundGate.at(values, 5, 6957847019520.0)),
          "round 1 holds a real value no randomizer reports"),
-        (30, lambda item: item[:5] + (TestRoundGate.at(item[5], 5, 4),),
+        (30, lambda tag, users, values: (tag, users, TestRoundGate.at(values, 5, 4)),
          "round 1 holds a quad value no randomizer reports"),
     ], ids=["wrong tag", "one user short", "users shifted by one",
             "real value at the reach", "quad value 4"])
@@ -539,10 +548,21 @@ class TestRoundGate:
             replay_analyst("uv1", config, self.edited(uv1, index, edit))
         assert str(caught.value) == message
 
+    def test_a_wrong_head_is_named_before_wrong_users(self, uv1):
+        # the block-by-block scan checks every head and length before any
+        # block's users, so a later wrong tag is named over earlier users
+        config, _ = uv1
+        shifted = self.edited(uv1, 100, lambda tag, users, values: (tag, users + 1, values))
+        both = self.edited((config, shifted), 384, lambda tag, users, values: ("lattice:0:0", users, values))
+        for transcript, message in ((shifted, "transcript block 100 is not"), (both, PLANNED_384)):
+            with pytest.raises(MalformedInputError) as caught:
+                replay_analyst("uv1", config, transcript)
+            assert str(caught.value).startswith(message)
+
     def test_float_users_refused_when_added(self, uv1):
         # a transcript holds integer users only, so no gate ever sees others
         config, transcript = uv1
-        _, round_no, tag, kind, users, values = transcript._items[384]
+        _, round_no, tag, kind, users, values = list(transcript_blocks(transcript))[384]
         copy = Transcript("uv1", config.n)
         with pytest.raises(MalformedInputError, match="integers of at most 15 digits"):
             copy.add_messages(round_no, tag, kind, users.astype(np.float64), values)
@@ -1039,8 +1059,8 @@ class TestStreamedLoad:
         _, transcript = run_once("kv2", config)
         path = tmp_path / "t.jsonl"
         transcript.dump(path)
-        _, _, tag, _, users, values = transcript._items[-1]
-        assert (tag, users.size) == ("refine", 2 ** 17)
+        _, _, _, blocks, users, values = transcript._items[-1]
+        assert blocks == (("refine", 2 ** 17),)
         monkeypatch.setattr(protocols, "_WINDOW", 1 << 16)
         tracemalloc.start()
         try:
@@ -1062,8 +1082,10 @@ SPECIAL_REALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 0
 
 @st.composite
 def hand_built_transcripts(draw):
-    """Message blocks of any round, kind and tag, integer arrays of several
-    dtypes, empty blocks, and broadcasts between them."""
+    """Message blocks of any round, kind and tag, added one or a few at a
+    time, integer arrays of several dtypes, and broadcasts between them;
+    with empty blocks, adjacent blocks of one tag, and adjacent calls of one
+    round and kind, so that every rule by which blocks join runs."""
     ints = st.one_of(
         st.sampled_from(DIGIT_BOUNDARIES + [-b for b in DIGIT_BOUNDARIES]),
         st.integers(-(10 ** 15) + 1, 10 ** 15 - 1),
@@ -1076,22 +1098,28 @@ def hand_built_transcripts(draw):
         dtype = draw(int_dtypes)  # unsigned only for magnitudes, as a reader reads them back
         return (np.abs(array) if dtype == np.uint64 else array).astype(dtype)
 
-    transcript = Transcript("kv2", 16)
+    tags = st.sampled_from(["level:1", "refine", 'a "quoted"\\tag\t\u00e9\x00', ""])
+    transcript, last = Transcript("kv2", 16), None  # the last message call's round and kind
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.integers(0, 4)) == 0:
             value = draw(st.one_of(st.floats(-1e9, 1e9), st.integers(-10 ** 9, 10 ** 9)))
             transcript.add_broadcast(draw(rounds), {"mu_hat1": value})
             continue
-        kind = draw(st.sampled_from(["quad", "sign", "real"]))
-        size = draw(st.integers(0, 9))
+        if last is None or draw(st.booleans()):
+            last = draw(rounds), draw(st.sampled_from(["quad", "sign", "real"]))
+        round_no, kind = last
+        subgroups = tuple(draw(st.lists(tags, min_size=1, max_size=3)))
+        size = len(subgroups) * draw(st.integers(0, 4))
         users = np.array(draw(st.lists(ints, min_size=size, max_size=size)), dtype=np.int64)
         if kind == "real":
             values = np.array(draw(st.lists(reals, min_size=size, max_size=size)), dtype=np.float64)
         else:
             values = with_int_dtype(
                 np.array(draw(st.lists(ints, min_size=size, max_size=size)), dtype=np.int64))
-        tag = draw(st.sampled_from(["level:1", "refine", 'a "quoted"\\tag\t\u00e9\x00', ""]))
-        transcript.add_messages(draw(rounds), tag, kind, with_int_dtype(users), values)
+        if len(subgroups) == 1:
+            transcript.add_messages(round_no, subgroups[0], kind, with_int_dtype(users), values)
+        else:
+            transcript.add_blocks(round_no, subgroups, kind, with_int_dtype(users), values)
     return transcript
 
 
@@ -1143,21 +1171,6 @@ def refused_blocks(draw):
     return kind, users, values
 
 
-def as_read_back(transcript):
-    """A copy of `transcript` with the items its lines spell: a message block
-    without users writes no line, and consecutive blocks of one round,
-    subgroup and kind write one run of lines, which reads back as one block."""
-    items = []
-    for item in transcript._items:
-        if item[0] == "messages" and items and items[-1][:4] == item[:4]:
-            items[-1] = item[:4] + tuple(map(np.concatenate, zip(items[-1][4:], item[4:])))
-        elif item[0] == "broadcast" or item[4].size:
-            items.append(item)
-    copy = Transcript(transcript.protocol, transcript.n)
-    copy._items, copy.outcome = items, transcript.outcome
-    return copy
-
-
 def assert_same_text(got: str, want: str) -> None:
     """Equal texts; a failure names the first differing line instead of
     diffing megabytes."""
@@ -1182,8 +1195,8 @@ class TestMessageLines:
     ])
     def test_runs_match_the_template_writer(self, protocol, n, kwargs):
         _, transcript = run_once(protocol, make_config(protocol, n=n, **kwargs))
-        if protocol == "uv1":
-            assert len(transcript._items) == 704
+        if protocol == "uv1":  # 704 blocks in 2 runs
+            assert [len(item[3]) for item in transcript._items] == [64, 640]
         assert_same_text(transcript.dumps(), template_dumps(transcript))
 
     def test_boundaries_dtypes_and_escapes_match_the_template_writer(self, monkeypatch):
@@ -1226,8 +1239,9 @@ class TestMessageLines:
         text = template_dumps(transcript)
         assert transcript.dumps() == text
         assert Transcript.loads(text, "kv2", 16).dumps() == text
-        # what add_* accepts a line spells, and reads back with its dtypes and bits
-        assert_same_items(Transcript.loads(text, "kv2", 16), as_read_back(transcript))
+        # what add_* accepts a line spells, and reads back as the same items
+        # with the same dtypes and bits
+        assert_same_items(Transcript.loads(text, "kv2", 16), transcript)
         with pytest.MonkeyPatch.context() as patch:  # slices and windows that cut through runs
             patch.setattr(protocols, "_SLICE", lines)
             patch.setattr(protocols, "_WINDOW", window)
@@ -1244,5 +1258,25 @@ class TestMessageLines:
         with pytest.raises(MalformedInputError):  # the same block for every subgroup
             transcript.add_blocks(1, ("a",) * subgroups, kind, np.concatenate([users] * subgroups),
                                   np.concatenate([values] * subgroups))
+        assert transcript._items == items
+        assert transcript.dumps() == text
+
+    @pytest.mark.parametrize("subgroups,kind", [
+        ((5,), "quad"), (("refine",), 7), ((b"refine",), "sign"), (("a", None), "real"),
+        (("refine",), None), ((), "quad"),
+    ])
+    def test_tags_no_line_spells_are_refused_when_added(self, subgroups, kind):
+        # a subgroup 5 used to be written as a line loads refuses, and an
+        # empty tuple of subgroups raised ZeroDivisionError
+        transcript = Transcript("kv2", 16)
+        transcript.add_messages(1, "refine", "quad", np.arange(2), np.arange(2))
+        items, text = list(transcript._items), transcript.dumps()
+        users = np.arange(2 * len(subgroups))
+        values = users.astype(np.float64) if kind == "real" else users % 2
+        with pytest.raises(MalformedInputError, match="string subgroups and kind"):
+            transcript.add_blocks(1, subgroups, kind, users, values)
+        if len(subgroups) == 1:
+            with pytest.raises(MalformedInputError, match="string subgroups and kind"):
+                transcript.add_messages(1, subgroups[0], kind, users, values)
         assert transcript._items == items
         assert transcript.dumps() == text
