@@ -202,9 +202,8 @@ class Run(NamedTuple):
     user ranges touch: block i holds users start + i count onwards and has
     tag tags[i]. `params` holds one array per randomizer parameter and
     `reach` the bound on real reports, each with one entry per block. A
-    transcript holds the run as one item, which starts with `head`:
-    ("messages", round, kind, ((tag, count), ...)). A broadcast is a run of
-    its own, with head ("broadcast", round)."""
+    transcript holds the run as one item, which starts with `head`. A
+    broadcast is a run of its own."""
 
     round: int
     kind: str
@@ -213,11 +212,17 @@ class Run(NamedTuple):
     tags: tuple
     params: tuple
     reach: np.ndarray
-    head: tuple
 
     @property
     def stop(self) -> int:
         return self.start + self.count * len(self.tags)
+
+    @property
+    def head(self) -> tuple:
+        """("messages", round, kind, ((tag, count), ...)), or ("broadcast", round)."""
+        if self.kind == "broadcast":
+            return ("broadcast", self.round)
+        return ("messages", self.round, self.kind, tuple(zip(self.tags, itertools.repeat(self.count))))
 
 
 @dataclass(frozen=True)
@@ -418,9 +423,7 @@ def _runs(blocks: Tuple[Block, ...]) -> Tuple[Run, ...]:
     runs = [list(run) for _, run in itertools.groupby(blocks, operator.attrgetter("round", "kind"))]
     return tuple(
         Run(run[0].round, run[0].kind, run[0].start, run[0].count, tuple(b.tag for b in run),
-            tuple(map(np.array, zip(*(b.params for b in run)))), np.array([b.reach for b in run]),
-            ("broadcast", run[0].round) if run[0].kind == "broadcast"
-            else ("messages", run[0].round, run[0].kind, tuple((b.tag, b.count) for b in run)))
+            tuple(map(np.array, zip(*(b.params for b in run)))), np.array([b.reach for b in run]))
         for run in runs
     )
 
@@ -891,7 +894,9 @@ def _first_unplanned(plan: PartitionPlan, items: List[tuple], round_no: int) -> 
     against the block table through round `round_no`: a count of blocks
     off the table's; else the first block whose head, or whose users'
     shape, is not its planned block's; else the first block of the round
-    that does not hold its planned users."""
+    that does not hold its planned users; else what the scan through the
+    last round finds (a block past the round's planned ones joined its last
+    run, and a scan block by block meets it only there)."""
     got = []  # (round, tag, kind, users) of each block, as the table spells them
     for item in items:
         if item[0] == "broadcast":
@@ -909,7 +914,7 @@ def _first_unplanned(plan: PartitionPlan, items: List[tuple], round_no: int) -> 
     for index, (block, (*_, users)) in enumerate(zip(planned, got)):
         if block.round == round_no and (users != np.arange(block.start, block.start + block.count)).any():
             return _not_planned(plan, index)
-    raise AssertionError("every block is its planned block")
+    return _first_unplanned(plan, items, plan.rounds)
 
 
 def _gate(plan: PartitionPlan, transcript: Transcript, round_no: int) -> Dict[str, np.ndarray]:

@@ -31,6 +31,7 @@ block, one draw and one kernel call per block; the library privatizes runs
 of blocks in chunks and must record the same transcript.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -565,41 +566,44 @@ def template_dumps(transcript) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Reference run: one streams.matrix call and one kernel call per block.
+# Reference run: one streams.matrix call and one kernel call per block, and
+# one add_blocks call per run of blocks of one round and kind.
 
 def reference_run(protocol, config, samples, streams):
     plan = plan_partition(config, protocol)
     samples = np.asarray(samples, dtype=np.float64)
     transcript = Transcript(protocol, config.n)
 
+    def block_values(block, broadcast):
+        idx = np.arange(block.start, block.start + block.count)
+        x = samples[idx]
+        draws = streams.matrix(idx, first=2, count=2 if block.kind == "quad" else 1)
+        if block.kind == "quad":
+            return idx, rr1_values(plan.eps, x, block.key, draws[:, 0], draws[:, 1])
+        if block.kind == "sign":
+            if block.key is None:  # kv2's round two, centered on the broadcast
+                centers = broadcast["mu_hat1"]
+            else:
+                lattice = LatticeSpec(0.2 * plan.sigma * block.key, plan.rho * plan.sigma)
+                centers = lattice.nearest_points(x)
+            return idx, sign_rr_values(plan.eps, x, centers, plan.sigma, draws[:, 0])
+        if block.key is None:  # uv2's round two, clamped to the broadcast
+            lo, hi = broadcast["interval_lo"], broadcast["interval_hi"]
+            return idx, uv_rr2_values(plan.eps, x, lo, hi, draws[:, 0])
+        level, m = block.key
+        lattice = LatticeSpec(m * 2.0 ** level, plan.rho * 2.0 ** level)
+        numerator = 2.0 * plan.rho * 2.0 ** level
+        return idx, one_round_uv_rr2_values(plan.eps, x, lattice, numerator, draws[:, 0])
+
     def emit(round_no, broadcast=None):
-        for block in plan.blocks:
-            if block.round != round_no:
-                continue
-            if block.kind == "broadcast":
+        blocks = [block for block in plan.blocks if block.round == round_no]
+        for kind, run in itertools.groupby(blocks, lambda block: block.kind):
+            run = list(run)
+            if kind == "broadcast":
                 transcript.add_broadcast(round_no, broadcast)
                 continue
-            idx = np.arange(block.start, block.start + block.count)
-            x = samples[idx]
-            draws = streams.matrix(idx, first=2, count=2 if block.kind == "quad" else 1)
-            if block.kind == "quad":
-                values = rr1_values(plan.eps, x, block.key, draws[:, 0], draws[:, 1])
-            elif block.kind == "sign":
-                if block.key is None:  # kv2's round two, centered on the broadcast
-                    centers = broadcast["mu_hat1"]
-                else:
-                    lattice = LatticeSpec(0.2 * plan.sigma * block.key, plan.rho * plan.sigma)
-                    centers = lattice.nearest_points(x)
-                values = sign_rr_values(plan.eps, x, centers, plan.sigma, draws[:, 0])
-            elif block.key is None:  # uv2's round two, clamped to the broadcast
-                lo, hi = broadcast["interval_lo"], broadcast["interval_hi"]
-                values = uv_rr2_values(plan.eps, x, lo, hi, draws[:, 0])
-            else:
-                level, m = block.key
-                lattice = LatticeSpec(m * 2.0 ** level, plan.rho * 2.0 ** level)
-                numerator = 2.0 * plan.rho * 2.0 ** level
-                values = one_round_uv_rr2_values(plan.eps, x, lattice, numerator, draws[:, 0])
-            transcript.add_messages(round_no, block.tag, block.kind, idx, values)
+            idx, values = map(np.concatenate, zip(*(block_values(block, broadcast) for block in run)))
+            transcript.add_blocks(round_no, tuple(block.tag for block in run), kind, idx, values)
 
     emit(1)
     outcome = _analyze(plan, transcript, lambda broadcast: emit(2, broadcast))

@@ -559,6 +559,27 @@ class TestRoundGate:
                 replay_analyst("uv1", config, transcript)
             assert str(caught.value).startswith(message)
 
+    @pytest.mark.parametrize("drop_refine", [False, True])
+    def test_a_block_past_round_one_named_at_round_two(self, drop_refine):
+        # a quad line before kv2's broadcast joins round one's level run; a
+        # scan block by block passes round one and meets it at round two
+        config = make_config("kv2", k=512)
+        _, transcript = run_once("kv2", config)
+        lines = [line for line in transcript.dumps().splitlines(keepends=True)
+                 if not (drop_refine and '"subgroup":"refine"' in line)]
+        at = next(i for i, line in enumerate(lines) if '"broadcast"' in line)
+        lines.insert(at, '{"round":1,"user":5,"subgroup":"level:99","kind":"quad","value":1}\n')
+        edited = Transcript.loads("".join(lines), "kv2", config.n)
+        blocks = plan_partition(config, "kv2").blocks
+        planned, broadcast = len(blocks), [block.kind for block in blocks].index("broadcast")
+        with pytest.raises(MalformedInputError) as caught:
+            replay_analyst("kv2", config, edited)
+        assert str(caught.value) == (
+            f"transcript block {broadcast} is not the planned Block(round=2, tag='broadcast', kind='broadcast',"
+            " start=0, count=0, reach=inf, key=None, params=())" if drop_refine
+            else f"transcript holds {planned + 1} blocks, expected {planned} through round 2"
+        )
+
     def test_float_users_refused_when_added(self, uv1):
         # a transcript holds integer users only, so no gate ever sees others
         config, transcript = uv1
