@@ -21,7 +21,6 @@ from ldpgauss.aggregation import MalformedInputError
 from ldpgauss.harness import (
     ExperimentSpec,
     default_audit_report,
-    error_summary,
     k1_for_levels,
     run_trials,
     sample_population,  # not called here; perfbench/tracing.py wraps this name
@@ -150,16 +149,15 @@ def _out_dir(opts: dict) -> Path:
 
 def _strip_timing(cells) -> None:
     for cell in cells:
-        cell.mean_wall_ms = 0.0
         for row in cell.rows:
             row["wall_ms"] = 0.0
 
 
 def _print_cell(cell, slope=None) -> None:
-    summary = error_summary(cell.errors)
+    q = cell.quantiles
     parts = [
         f"{cell.protocol} n={cell.n} eps={cell.eps!r} mu={cell.mu!r} sigma={cell.sigma!r}",
-        f"trials={summary['count']} err_p50={summary['p50']!r} err_p90={summary['p90']!r}",
+        f"trials={q['count']} err_p50={q['p50']!r} err_p90={q['p90']!r}",
         f"coverage_mu1={cell.coverage_mu1!r}",
     ]
     if cell.coverage_sigma is not None:

@@ -11,7 +11,8 @@ instead.
 
 Trials are keyed by (master_seed, cell index, trial index), so results are
 independent of execution order and extending the trial count leaves earlier
-trials untouched.
+trials untouched. A cell keeps only its trial rows, as `results.csv` holds
+them; its statistics, `summary.csv` and the printout are read off them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import csv
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -148,28 +149,36 @@ class ExperimentSpec:
 
 @dataclass
 class TrialStats:
-    """Per-cell results: raw errors, quantiles, coverage, wall time."""
+    """A grid cell's coordinates and trial rows; every statistic is read off the rows."""
 
     protocol: str
     n: int
     eps: float
     mu: float
     sigma: float
-    errors: np.ndarray
-    quantiles: Dict[str, float]
-    coverage_mu1: float
-    coverage_sigma: Optional[float]
-    mean_wall_ms: float
-    rows: List[dict] = field(default_factory=list)
+    rows: List[dict]
 
-    def __post_init__(self):
-        q = self.quantiles
-        if not (q["p50"] <= q["p90"] <= q["p95"]):
-            raise ValueError("quantiles must be monotone")
-        if not 0.0 <= self.coverage_mu1 <= 1.0:
-            raise ValueError("coverage must lie in [0, 1]")
-        if self.coverage_sigma is not None and not 0.0 <= self.coverage_sigma <= 1.0:
-            raise ValueError("coverage must lie in [0, 1]")
+    @property
+    def errors(self) -> np.ndarray:
+        return np.array([row["abs_error"] for row in self.rows])
+
+    @property
+    def quantiles(self) -> Dict[str, float]:
+        return error_summary(self.errors)
+
+    @property
+    def coverage_mu1(self) -> float:
+        return sum(abs(row["mu_hat1"] - self.mu) <= 2.0 * self.sigma for row in self.rows) / len(self.rows)
+
+    @property
+    def coverage_sigma(self) -> Optional[float]:
+        if self.protocol in ("kv2", "kv1"):
+            return None
+        return sum(self.sigma <= row["sigma_hat"] <= 8.0 * self.sigma for row in self.rows) / len(self.rows)
+
+    @property
+    def mean_wall_ms(self) -> float:
+        return sum(row["wall_ms"] for row in self.rows) / len(self.rows)
 
 
 def run_cell(
@@ -191,10 +200,6 @@ def run_cell(
             stacklevel=2,
         )
     runner = RUNNERS[spec.protocol]
-    errors = np.empty(spec.trials)
-    cover_mu1 = 0
-    cover_sigma = 0
-    wall_total = 0.0
     rows = []
     for trial in range(spec.trials):
         streams = TrialStreams(spec.master_seed, hash_u64(cell_index, trial))
@@ -205,26 +210,12 @@ def run_cell(
         if transcript_path is not None and trial == 0:
             transcript.dump(transcript_path)
         del transcript  # not kept alive through the next trial's run
-        wall_total += wall_ms
-        errors[trial] = abs(outcome.mu_hat2 - mu)
-        abs_error = float(errors[trial])
-        cover_mu1 += abs(outcome.mu_hat1 - mu) <= 2.0 * sigma
-        if outcome.sigma_hat is not None:
-            cover_sigma += sigma <= outcome.sigma_hat <= 8.0 * sigma
         rows.append({
             "protocol": spec.protocol, "n": n, "eps": eps, "mu": mu, "sigma": sigma,
             "trial": trial, "mu_hat1": outcome.mu_hat1, "sigma_hat": outcome.sigma_hat,
-            "mu_hat2": outcome.mu_hat2, "abs_error": abs_error, "wall_ms": wall_ms,
+            "mu_hat2": outcome.mu_hat2, "abs_error": abs(outcome.mu_hat2 - mu), "wall_ms": wall_ms,
         })
-    summary = error_summary(errors)
-    return TrialStats(
-        protocol=spec.protocol, n=n, eps=eps, mu=mu, sigma=sigma, errors=errors,
-        quantiles={"p50": summary["p50"], "p90": summary["p90"], "p95": summary["p95"]},
-        coverage_mu1=cover_mu1 / spec.trials,
-        coverage_sigma=(cover_sigma / spec.trials) if spec.protocol in ("uv2", "uv1") else None,
-        mean_wall_ms=wall_total / spec.trials,
-        rows=rows,
-    )
+    return TrialStats(spec.protocol, n, eps, mu, sigma, rows)
 
 
 def run_trials(spec: ExperimentSpec, *, transcript_path=None) -> List[TrialStats]:
@@ -381,11 +372,11 @@ def write_summary_csv(path, cells: List[TrialStats], slopes: Optional[Dict[tuple
         writer = csv.writer(fh)
         writer.writerow(_SUMMARY_COLUMNS)
         for cell in cells:
-            summary = error_summary(cell.errors)
+            q = cell.quantiles
             slope = slopes.get((cell.eps, cell.mu, cell.sigma))
             writer.writerow(_format_value(v) for v in (
-                cell.protocol, cell.n, cell.eps, cell.mu, cell.sigma, int(cell.errors.size),
-                summary["mean"], summary["p50"], summary["p90"], summary["p95"],
+                cell.protocol, cell.n, cell.eps, cell.mu, cell.sigma, q["count"],
+                q["mean"], q["p50"], q["p90"], q["p95"],
                 cell.coverage_mu1, cell.coverage_sigma, cell.mean_wall_ms, slope,
             ))
 

@@ -29,6 +29,11 @@ strings; the library fills byte matrices a run of blocks at a time and must
 write the same bytes as both. The reference run beside it emits block by
 block, one draw and one kernel call per block; the library privatizes runs
 of blocks in chunks and must record the same transcript.
+
+The reference gate at the end checks a transcript block by block against
+the plan's block table, as the gate did when a transcript held one item per
+block; the library's gate compares one head per run of blocks and must name
+the same first fault, in the same words.
 """
 
 import itertools
@@ -609,3 +614,51 @@ def reference_run(protocol, config, samples, streams):
     outcome = _analyze(plan, transcript, lambda broadcast: emit(2, broadcast))
     transcript.outcome = outcome
     return outcome, transcript
+
+
+# ---------------------------------------------------------------------------
+# Reference gate: a transcript's blocks (`transcript_blocks`) checked one at a
+# time against the block table, a round at a time, in the analyst's order.
+
+def _block_reported(block, values) -> bool:
+    """Whether the randomizer of the block's kind can report every value."""
+    if block.kind == "real":
+        return np.abs(values).max() < block.reach
+    if block.kind == "quad":
+        return values.min() >= 0 and values.max() <= 3
+    return values.min() >= -1 and values.max() <= 1 and np.count_nonzero(values) == values.size
+
+
+def reference_gate(plan, blocks) -> Optional[str]:
+    """The message of the first fault the gate finds in a transcript whose
+    broadcasts and message blocks are `blocks`, rounds 1 to plan.rounds in
+    turn, or None if there is none. Through each round it finds: a count of
+    blocks below the table's (or, at the last round, off it); else the first
+    block whose head (round, subgroup and kind, or a broadcast and its
+    round) or length is not its planned block's; else the first block of the
+    round that does not hold its planned users; else the first of the
+    round's blocks with a value its randomizer cannot report."""
+    blocks = list(blocks)
+    for round_no in range(1, plan.rounds + 1):
+        planned = [block for block in plan.blocks if block.round <= round_no]
+        if len(blocks) < len(planned) or (round_no == plan.rounds and len(blocks) > len(planned)):
+            return (f"transcript holds {len(blocks)} blocks, expected {len(planned)}"
+                    f" through round {round_no}")
+        pairs = list(zip(planned, blocks))
+        for index, (block, item) in enumerate(pairs):
+            if block.kind == "broadcast":
+                wrong = item[:2] != ("broadcast", block.round)
+            else:
+                head = ("messages", block.round, block.tag, block.kind)
+                wrong = item[:4] != head or len(item[4]) != block.count
+            if wrong:
+                return f"transcript block {index} is not the planned {block}"
+        current = [(index, block, item) for index, (block, item) in enumerate(pairs)
+                   if block.round == round_no and block.kind != "broadcast"]
+        for index, block, item in current:
+            if not np.array_equal(item[4], np.arange(block.start, block.start + block.count)):
+                return f"transcript block {index} is not the planned {block}"
+        for _, block, item in current:
+            if not _block_reported(block, item[5]):
+                return f"round {round_no} holds a {block.kind} value no randomizer reports"
+    return None

@@ -105,6 +105,30 @@ class TestRunTrials:
         assert cell.coverage_sigma is None
         assert len(cell.rows) == 4
 
+    def test_statistics_are_read_off_the_rows(self):
+        # a cell's statistics follow an edit of its rows, because the rows
+        # are the cell's only record
+        spec = kv2_spec(protocol="uv2", n_values=(8192,), sigma_values=(3.0,), k=None, k1=256,
+                        sigma_bounds=(2.0, 16.0), trials=4)
+        [cell] = run_trials(spec)
+        before = (cell.quantiles, cell.coverage_mu1, cell.coverage_sigma, cell.mean_wall_ms)
+        # row 1 trades its coverage of mu and of sigma, and gets the largest error
+        row = cell.rows[1]
+        row["mu_hat1"] = 110.0 if abs(row["mu_hat1"] - 10.0) <= 6.0 else 10.0
+        row["sigma_hat"] = 1.0 if 3.0 <= row["sigma_hat"] <= 24.0 else 9.0
+        row["abs_error"] = 1e6
+        for edited in cell.rows:
+            edited["wall_ms"] = 0.0
+        after = (
+            error_summary([r["abs_error"] for r in cell.rows]),
+            sum(abs(r["mu_hat1"] - 10.0) <= 6.0 for r in cell.rows) / 4,
+            sum(3.0 <= r["sigma_hat"] <= 24.0 for r in cell.rows) / 4,
+            0.0,
+        )
+        assert (cell.quantiles, cell.coverage_mu1, cell.coverage_sigma, cell.mean_wall_ms) == after
+        assert cell.quantiles["p95"] == 1e6
+        assert all(a != b for a, b in zip(before, after))
+
     def test_uv_spec_requires_bounds(self):
         with pytest.raises(ConfigError):
             kv2_spec(protocol="uv2")
