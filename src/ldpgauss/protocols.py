@@ -593,33 +593,50 @@ def _malformed(line: int, why: str) -> MalformedInputError:
 
 
 def _read_run(text: str, pos: int, cut: int, line: int):
-    """The message lines from `pos` (line `line` of the transcript) that
-    share the first one's round, subgroup and kind, up to `cut`: ((round,
-    kind), subgroup, users, values, end), or None when the line at `pos` is
-    not a message line as written. Real values only have their characters
-    checked here."""
-    first = _MESSAGE_HEAD.match(text, pos, cut)
-    if first is None:
+    """The message lines from `pos` (line `line` of the transcript) up to
+    `cut` that share the first one's round and kind, read a block of lines
+    sharing a subgroup at a time: ((round, kind), [(subgroup, size), ...],
+    [users, ...], [values, ...], end), or None when the line at `pos` is not
+    a message line as written. Real values must be spelled as written: the
+    run's text must be what _message_lines writes for its blocks, users and
+    values, or the error names the run's first line. A block is parsed
+    before its round and kind can end the run, so a value no number spells
+    there is named before the run's spelling."""
+    start, first_line, key, blocks, users, values = pos, line, None, [], [], []
+    while first := _MESSAGE_HEAD.match(text, pos, cut):
+        head, middle = first[1], first[3]
+        try:  # a string with an escape JSON lacks, such as \q
+            subgroup, kind = json.loads(first[4]), json.loads(first[5])
+        except ValueError:
+            break
+        if json.dumps(subgroup) != first[4] or json.dumps(kind) != first[5]:
+            break
+        integral = kind in _INT_KINDS
+        run = _RUN[integral].match(text, pos, cut)
+        if run is None:
+            break
+        end = run.end()
+        # "u M v}\nH u M v}\nH ... u M v" -> "u M v M u M v ... u M v"
+        body = text[pos + len(head):end - (text[end - 1] == "\n") - 1].replace("}\n" + head, middle)
+        try:
+            numbers = np.fromstring(body, dtype=np.int64 if integral else np.float64, sep=middle)
+        except ValueError:
+            raise _malformed(line, _MISSPELLED) from None
+        del body  # up to a window of text, not kept through the spelling check
+        if key not in (None, (int(first[2]), kind)):
+            break
+        key = int(first[2]), kind
+        blocks.append((subgroup, numbers.size // 2))
+        users.append(numbers[0::2].astype(np.int64))
+        values.append(numbers[1::2])
+        pos, line = end, line + numbers.size // 2
+    if key is None:
         return None
-    head, middle = first[1], first[3]
-    try:  # a string with an escape JSON lacks, such as \q
-        subgroup, kind = json.loads(first[4]), json.loads(first[5])
-    except ValueError:
-        return None
-    if json.dumps(subgroup) != first[4] or json.dumps(kind) != first[5]:
-        return None
-    integral = kind in _INT_KINDS
-    run = _RUN[integral].match(text, pos, cut)
-    if run is None:
-        return None
-    end = run.end()
-    # "u M v}\nH u M v}\nH ... u M v" -> "u M v M u M v ... u M v"
-    body = text[pos + len(head):end - (text[end - 1] == "\n") - 1].replace("}\n" + head, middle)
-    try:
-        numbers = np.fromstring(body, dtype=np.int64 if integral else np.float64, sep=middle)
-    except ValueError:
-        raise _malformed(line, _MISSPELLED) from None
-    return (int(first[2]), kind), subgroup, numbers[0::2].astype(np.int64), numbers[1::2], end
+    if key[1] not in _INT_KINDS:
+        spelled = _message_lines(*key, blocks, np.concatenate(users), np.concatenate(values))
+        if spelled != text[start:pos].encode():
+            raise _malformed(first_line, _MISSPELLED)
+    return key, blocks, users, values, pos
 
 
 class Transcript:
@@ -770,23 +787,17 @@ class Transcript:
         pieces read so far up to their last newline, the partial line after
         it carried into the next window. Message lines must be spelled
         exactly as `dumps` spells them, and are read a run of consecutive
-        lines sharing round, subgroup and kind at a time (a run cut by a
-        window's end goes on in the next); real values' spelling is checked
-        against the writer's own formatter before their window is dropped.
-        Any other line is a broadcast or an outcome: read as JSON, rebuilt
-        with the writer's types (`_as_written`), and spelled as the writer
-        spells that. An outcome, if any, is the last line, and every line
-        ends in a newline. Consecutive message lines of one round and kind
-        are added as one run. Raises MalformedInputError, naming the line,
-        for anything else."""
+        lines sharing round and kind at a time (`_read_run`, which checks
+        real values' spelling; a run cut by a window's end goes on in the
+        next), and added as one run. Any other line is a broadcast or an
+        outcome: read as JSON, rebuilt with the writer's types
+        (`_as_written`), and spelled as the writer spells that. An outcome,
+        if any, is the last line, and every line ends in a newline. Raises
+        MalformedInputError, naming the line, for anything else."""
         transcript = cls(protocol, n)
         lines = outcome_line = 0  # lines parsed so far; the outcome's line
         # [round, kind, (subgroup, size) pairs, user arrays, value arrays]
         pending: Optional[list] = None
-        # runs of real values read from window position `unchecked_from`
-        # (line `unchecked_line`) on, all of round and kind `unchecked_key`:
-        # ((subgroup, size), users, values)
-        unchecked, unchecked_from, unchecked_line, unchecked_key = [], 0, 0, None
 
         def flush() -> None:
             if pending is not None:  # a column at a time, each piece dropped once copied
@@ -796,17 +807,6 @@ class Transcript:
                         piece = pieces.pop()
                         pending[column][end - len(piece):end], end = piece, end - len(piece)
                 transcript._add_run(*pending)
-
-        def check_spelling(upto: int) -> None:
-            """Real values must be spelled as written: the unchecked runs'
-            text must be what _message_lines writes for their users and
-            values."""
-            if unchecked:
-                blocks, users, values = zip(*unchecked)
-                spelled = _message_lines(*unchecked_key, blocks, np.concatenate(users), np.concatenate(values))
-                if spelled != text[unchecked_from:upto].encode():
-                    raise _malformed(unchecked_line, _MISSPELLED)
-                unchecked.clear()
 
         # the partial line after the last newline, in the pieces it was read
         # in, so that a long line is joined once
@@ -831,22 +831,14 @@ class Transcript:
                     raise _malformed(outcome_line, "a line follows the outcome")
                 run = _read_run(text, pos, cut, lines + 1)
                 if run is not None:
-                    key, subgroup, users, values, end = run
-                    if unchecked and unchecked_key != key:
-                        check_spelling(pos)
-                    if key[1] not in _INT_KINDS:
-                        if not unchecked:
-                            unchecked_from, unchecked_line, unchecked_key = pos, lines + 1, key
-                        unchecked.append(((subgroup, users.size), users, values))
+                    key, *columns, pos = run
                     if pending is None or tuple(pending[:2]) != key:
                         flush()
                         pending = [*key, [], [], []]
-                    for column, part in zip(pending[2:], ((subgroup, users.size), users, values)):
-                        column.append(part)
-                    lines += users.size
-                    pos = end
+                    for column, parts in zip(pending[2:], columns):
+                        column.extend(parts)
+                    lines += sum(size for _, size in columns[0])
                     continue
-                check_spelling(pos)
                 end = text.find("\n", pos)
                 raw, pos = text[pos:end], end + 1
                 lines += 1
@@ -863,7 +855,6 @@ class Transcript:
                     outcome_line = lines
                 else:
                     transcript.add_broadcast(item["round"], item["broadcast"])
-            check_spelling(cut)  # before the window is dropped
         if any(carry):
             raise _malformed(lines + 1, "the last line lacks its newline")
         flush()

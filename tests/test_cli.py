@@ -270,6 +270,25 @@ class TestSweep:
         rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
         assert [row.split(",")[4] for row in rows] == ["1.0", "2.0"]
 
+    @pytest.mark.parametrize("source", ["flags", "file"])
+    def test_grid_with_a_negative_first_value_is_joined_by_equals(self, tmp_path, capsys, source):
+        # argparse reads a value that starts with "-" and is no plain number
+        # as an option, so only "--mu-grid=-3,5" hands it to --mu-grid
+        args = [
+            "sweep", "--protocol", "kv2", "--n-grid", "4096", "--eps", "1", "--sigma", "1",
+            "--k", "256", "--trials", "2", "--out", str(tmp_path),
+        ]
+
+        def spelled(*argv):
+            return [args_file(tmp_path, *argv)] if source == "file" else list(argv)
+
+        assert exit_code(args + spelled("--mu-grid", "-3,5")) == 2
+        assert "argument --mu-grid: expected one argument" in capsys.readouterr().err
+        with pytest.warns(UserWarning, match="outside the searchable range"):
+            assert cli.main(args + spelled("--mu-grid=-3,5")) == 0
+        rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["-3.0", "5.0"]
+
     @pytest.mark.parametrize("name,grid", [
         ("n", "4096,8192"), ("eps", "1,2"), ("mu", "5,10"), ("sigma", "1,2"),
     ])

@@ -909,6 +909,31 @@ class TestTranscriptAndReplay:
                 with pytest.raises(MalformedInputError, match="not spelled as written"):
                     Transcript.loads(text, "uv1", config.n)
 
+    @pytest.mark.parametrize("case", ["later block", "second window", "unreadable line after"])
+    def test_respelled_real_names_its_windows_part_of_the_run(self, case, monkeypatch):
+        # a run's real values are checked a window's part of the run at a
+        # time, and the error names that part's first line: not the block's
+        # first line, and not a line the reader cannot read later in the part
+        config = make_config("uv1", n=2 ** 12, sigma=3.0)
+        _, transcript = run_once("uv1", config)
+        lines = transcript.dumps().splitlines(True)
+        window = 4000
+        monkeypatch.setattr(protocols, "_WINDOW", window)
+        reals = [i for i, line in enumerate(lines) if '"kind":"real"' in line]
+        block = transcript._items[1][3][0][1]  # lines per lattice subgroup
+        # the window that reads each line, and the run's part in each window
+        windows = (np.cumsum([len(line) for line in lines]) - 1) // window
+        first, second = ([i for i in reals if windows[i] == w] for w in windows[reals[0]] + np.arange(2))
+        assert reals[:block] == first[:block] and len(first) > block + 2 and len(second) > 2
+        # one character more on a line that does not end its part moves no
+        # part's first line
+        respelled, named = (second[1], second[0]) if case == "second window" else (first[block + 1], first[0])
+        lines[respelled] = lines[respelled].replace("}\n", "0}\n")
+        if case == "unreadable line after":
+            lines[first[-2]] = lines[first[-2]].replace('"user":', '"user":0')
+        with pytest.raises(MalformedInputError, match=f"^line {named + 1}: {protocols._MISSPELLED}$"):
+            Transcript.loads("".join(lines), "uv1", config.n)
+
     def test_mutated_value_detected(self):
         config = make_config("kv2", k=512)
         _, transcript = run_once("kv2", config)

@@ -3,13 +3,14 @@
 Each example takes a recorded transcript of one protocol at n = 2^10 and
 edits it one to three times, replaying the text after each edit. An edit
 deletes, duplicates, swaps or moves lines, changes a line's user, subgroup,
-value, round or kind, inserts a message line of a new or another block's
-tag at a block boundary, or inserts a stray broadcast. Replay must then end
-in the recorded outcome, `ReplayMismatch` or `MalformedInputError`, and
-never in another exception; whenever `Transcript.loads` accepts the text,
-the gate must name the fault that the reference gate, block by block,
-names first, in the same words. The examples are fixed (`derandomize`), so
-the suite stays deterministic.
+value, round or kind, respells a value, inserts a message line of a new or
+another block's tag at a block boundary, or inserts a stray broadcast.
+Replay must then end in the recorded outcome, `ReplayMismatch` or
+`MalformedInputError`, and never in another exception; whenever
+`Transcript.loads` accepts the text, the transcript must write it back byte
+for byte, and the gate must name the fault that the reference gate, block
+by block, names first, in the same words. The examples are fixed
+(`derandomize`), so the suite stays deterministic.
 """
 
 import contextlib
@@ -99,7 +100,7 @@ def boundary(data, rng, lines) -> int:
 
 # edits of one line, and insertions, mostly where blocks meet: the gate
 # checks one head per run of blocks, and a line inserted there may join a run
-LINE_EDITS = ("delete", "duplicate", "swap", "move", "change")
+LINE_EDITS = ("delete", "duplicate", "swap", "move", "change", "respell")
 INSERTS = ("insert", "broadcast")
 
 
@@ -140,6 +141,17 @@ def edit(data, lines: list, protocol: str) -> None:
             new = data.draw(st.integers(-2, 4))
         if "user" in obj or field == "round":  # a broadcast or the outcome gains a round
             lines[at] = written({**obj, field: new})
+    elif op == "respell":
+        # a value spelled otherwise than the writer spells it: a real one
+        # with a "0" appended, an integer one as "1.0", or either with a "+"
+        at = rng.choice([i for i, (_, obj) in enumerate(lines) if "user" in obj])
+        line, obj = lines[at]
+        head, value = line[:-2].rsplit(":", 1)
+        if data.draw(st.booleans(), label="plus"):
+            value = "+" + value
+        else:
+            value = value + "0" if obj["kind"] == "real" else "1.0"
+        lines[at] = f"{head}:{value}}}\n", obj
     elif op == "insert":
         at = boundary(data, rng, lines)
         side = data.draw(st.sampled_from((-1, 0)))
@@ -186,6 +198,7 @@ def replayed(protocol: str, text: str) -> int:
         transcript = Transcript.loads(text, protocol, N)
     except MalformedInputError:
         return 2
+    assert transcript.dumps() == text
     plan = plan_partition(config, protocol)
     expected = reference_gate(plan, transcript_blocks(transcript))
     assert gate_message(plan, transcript) == expected
